@@ -61,9 +61,7 @@ void print_tables() {
 
   std::printf("\n=== Transformer-block kernels on the CU ===\n");
   TransformerConfig model;  // 128 x 256, 4 heads, d_ff 1024
-  const TransformerBlock block(model);
-  std::vector<KernelCall> trace;
-  block.forward(make_activations(model, 1), &trace);
+  const auto trace = kernel_trace(model);
   core::TextTable kt({"kernel", "shape (m,k,n / elems)", "cycles",
                       "GFLOPS", "energy (uJ)"});
   CuRunStats total;
@@ -102,13 +100,12 @@ void print_tables() {
     base.d_model = 256;
     base.heads = 4;
     base.d_ff = 1024;
-    const TransformerModel bert_ish(base, 12);
     core::TextTable mt({"fabric", "sequences/s", "GFLOPS", "power (W)",
                         "mJ/sequence"});
     for (const int cus : {1, 4, 16}) {
       FabricConfig fabric;
       fabric.num_cus = cus;
-      const auto est = estimate_model_inference(bert_ish, fabric);
+      const auto est = estimate_model_inference(base, 12, fabric);
       mt.add_row({"SCF-" + std::to_string(cus),
                   core::TextTable::num(est.sequences_per_second, 1),
                   core::TextTable::num(est.gflops_sustained, 0),

@@ -127,10 +127,10 @@ KernelRow bench_dse(int reps) {
   core::trace::set_enabled(true);
   core::trace::reset();
   const auto old_result = hls::dse_exhaustive(kernel, uncached);
-  const std::uint64_t old_calls = core::trace::counters()["dse/schedule_calls"];
+  const std::uint64_t old_calls = core::trace::counters()["dse.schedule_calls"];
   core::trace::reset();
   const auto new_result = hls::dse_exhaustive(kernel, cached);
-  const std::uint64_t new_calls = core::trace::counters()["dse/schedule_calls"];
+  const std::uint64_t new_calls = core::trace::counters()["dse.schedule_calls"];
   core::trace::set_enabled(false);
   core::trace::reset();
 

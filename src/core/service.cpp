@@ -410,7 +410,7 @@ SubmitOutcome CampaignService::submit(JobRequest request) {
         ICSC_TRACE_COUNT("service.degraded", 1);
       }
       ICSC_TRACE_COUNT("service.admitted", 1);
-      ICSC_TRACE_GAUGE("service/queue_depth", static_cast<double>(queued_));
+      ICSC_TRACE_GAUGE("service.queue_depth", static_cast<double>(queued_));
       outcome.admitted = true;
       outcome.id = job->id;
       outcome.tier = tier;
@@ -579,7 +579,7 @@ void CampaignService::claim_locked(const std::shared_ptr<Job>& job) {
   if (queued_ > 0) --queued_;
   ++running_;
   job->state = JobState::kRunning;
-  ICSC_TRACE_GAUGE("service/queue_depth", static_cast<double>(queued_));
+  ICSC_TRACE_GAUGE("service.queue_depth", static_cast<double>(queued_));
 }
 
 // Claims every queued job carrying `key` (scanning tenants in DRR order,
@@ -778,7 +778,7 @@ void CampaignService::finalize_locked(const std::shared_ptr<Job>& job,
     if (tenant.queued > 0) --tenant.queued;
     tenant.queued_cost = std::max(0.0, tenant.queued_cost - job->cost);
     if (queued_ > 0) --queued_;
-    ICSC_TRACE_GAUGE("service/queue_depth", static_cast<double>(queued_));
+    ICSC_TRACE_GAUGE("service.queue_depth", static_cast<double>(queued_));
   } else if (job->state == JobState::kRunning) {
     if (running_ > 0) --running_;
     // O(1) swap-pop: the job records its slot while on the running list.

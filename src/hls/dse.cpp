@@ -63,7 +63,7 @@ struct EvalCore {
 
 EvalCore evaluate_core(const Kernel& unrolled, int unroll,
                        const ResourceBudget& budget, const DseConfig& config) {
-  ICSC_TRACE_COUNT("dse/schedule_calls", 1);
+  ICSC_TRACE_COUNT("dse.schedule_calls", 1);
   EvalCore out;
   const Schedule schedule = schedule_list(unrolled, budget);
   const Binding binding = bind_kernel(unrolled, schedule);
@@ -196,7 +196,7 @@ class EvalCache {
     std::call_once(slot.once, [&] {
       const int factor = config_.space.unroll_factors[index];
       if (factor > 1) {
-        ICSC_TRACE_COUNT("dse/unroll_calls", 1);
+        ICSC_TRACE_COUNT("dse.unroll_calls", 1);
         slot.kernel = unroll_kernel(body_, factor);
       } else {
         slot.use_body = true;
@@ -255,13 +255,13 @@ class EvalCache {
 };
 
 /// Books a finished run's cache accounting into the result and the
-/// dse/cache_* trace counters.
+/// dse.cache_* trace counters.
 void fold_cache_stats(DseResult& result, const EvalCache* cache) {
   if (cache == nullptr) return;
   result.cache_hits = cache->hits();
   result.cache_misses = cache->misses();
-  ICSC_TRACE_COUNT("dse/cache_hits", result.cache_hits);
-  ICSC_TRACE_COUNT("dse/cache_misses", result.cache_misses);
+  ICSC_TRACE_COUNT("dse.cache_hits", result.cache_hits);
+  ICSC_TRACE_COUNT("dse.cache_misses", result.cache_misses);
 }
 
 // ---------------------------------------------------------------------------
@@ -441,7 +441,7 @@ bool store_lookup(const DseConfig& config, std::uint64_t fingerprint,
     served.served_from_store = true;
     served.front = to_pareto(served.evaluated);
     result = std::move(served);
-    ICSC_TRACE_COUNT("dse/store_hits", 1);
+    ICSC_TRACE_COUNT("dse.store_hits", 1);
     return true;
   } catch (const core::Error&) {
     // A CRC-clean frame that does not decode is a schema drift the
@@ -462,7 +462,7 @@ void store_put(const DseConfig& config, std::uint64_t fingerprint,
     config.result_store->put(fingerprint, kDseStoreSchemaVersion,
                              encode_store_payload(units_done, result));
   } catch (const core::Error&) {
-    ICSC_TRACE_COUNT("dse/store_put_failures", 1);
+    ICSC_TRACE_COUNT("dse.store_put_failures", 1);
   }
 }
 

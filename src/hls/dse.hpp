@@ -152,7 +152,7 @@ struct DseResult {
   /// from an already-computed (unroll, effective budget) slot. Hits +
   /// misses equals the evaluations attempted this invocation when
   /// `DseConfig::memoize` is on; both stay zero when it is off. Also
-  /// exported as the `dse/cache_hits` / `dse/cache_misses` trace counters.
+  /// exported as the `dse.cache_hits` / `dse.cache_misses` trace counters.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   /// True when the whole result was served from the cross-run result

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <limits>
+#include <queue>
+#include <utility>
 
 namespace icsc::hls {
 
@@ -102,21 +105,19 @@ Schedule schedule_list(const Kernel& kernel, const ResourceBudget& budget) {
   }
 
   std::vector<int> earliest(n, 0);  // dependence-ready cycle
-  std::vector<std::size_t> ready;
+  // Ready ops keyed (mobility, id): least mobility first, then lowest id.
+  // The key is a strict total order, so the pick is deterministic.
+  using ReadyOp = std::pair<int, std::size_t>;
+  std::priority_queue<ReadyOp, std::vector<ReadyOp>, std::greater<>> ready;
   for (std::size_t i = 0; i < n; ++i) {
-    if (remaining_deps[i] == 0) ready.push_back(i);
+    if (remaining_deps[i] == 0) ready.emplace(mob[i], i);
   }
 
   std::size_t scheduled = 0;
   while (scheduled < n) {
     assert(!ready.empty() && "kernel must be a DAG");
-    // Least mobility first, then lowest id (deterministic).
-    std::sort(ready.begin(), ready.end(), [&](std::size_t a, std::size_t b) {
-      if (mob[a] != mob[b]) return mob[a] < mob[b];
-      return a < b;
-    });
-    const std::size_t op_id = ready.front();
-    ready.erase(ready.begin());
+    const std::size_t op_id = ready.top().second;
+    ready.pop();
 
     const FuClass cls = op_fu_class(kernel.ops()[op_id].kind);
     int start = earliest[op_id];
@@ -133,7 +134,9 @@ Schedule schedule_list(const Kernel& kernel, const ResourceBudget& budget) {
     ++scheduled;
     for (const std::size_t consumer : consumers[op_id]) {
       earliest[consumer] = std::max(earliest[consumer], finish);
-      if (--remaining_deps[consumer] == 0) ready.push_back(consumer);
+      if (--remaining_deps[consumer] == 0) {
+        ready.emplace(mob[consumer], consumer);
+      }
     }
   }
   return s;

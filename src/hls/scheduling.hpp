@@ -39,7 +39,8 @@ Schedule schedule_alap(const Kernel& kernel, int deadline);
 /// path deadline. Zero-mobility ops are on the critical path.
 std::vector<int> mobility(const Kernel& kernel);
 
-/// Resource-constrained list scheduling, priority = least mobility first.
+/// Resource-constrained list scheduling, priority = least mobility first,
+/// ties to the lowest op id.
 /// Functional units are fully pipelined except the divider (II = latency)
 /// and memory ports (one issue per cycle).
 Schedule schedule_list(const Kernel& kernel, const ResourceBudget& budget);

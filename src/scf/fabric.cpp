@@ -194,9 +194,7 @@ double ScalableComputeFabric::tflops_per_watt(
 std::vector<ScalingPoint> strong_scaling(const TransformerConfig& model,
                                          const FabricConfig& base,
                                          int max_cus) {
-  const TransformerBlock block(model);
-  std::vector<KernelCall> trace;
-  block.forward(make_activations(model, 1), &trace);
+  const auto trace = kernel_trace(model);
 
   std::vector<ScalingPoint> points;
   double single_cycles = 0.0;
@@ -224,11 +222,8 @@ std::vector<ScalingPoint> weak_scaling(const TransformerConfig& base_model,
   for (int cus = 1; cus <= max_cus; cus *= 2) {
     TransformerConfig model = base_model;
     model.seq_len = base_model.seq_len * static_cast<std::size_t>(cus);
-    const TransformerBlock block(model);
-    std::vector<KernelCall> trace;
-    // The kernel shapes (not the numerics) drive the timing model; use a
-    // light activation tensor to build the trace.
-    block.forward(make_activations(model, 1), &trace);
+    // The kernel shapes (not the numerics) drive the timing model.
+    const auto trace = kernel_trace(model);
 
     FabricConfig config = base;
     config.num_cus = cus;

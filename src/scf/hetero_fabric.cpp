@@ -158,9 +158,7 @@ double HeterogeneousFabric::tflops_per_watt(const FabricRunStats& stats) const {
 
 std::vector<MixPoint> sweep_cu_mix(const TransformerConfig& model,
                                    int total_cus) {
-  const TransformerBlock block(model);
-  std::vector<KernelCall> trace;
-  block.forward(make_activations(model, 1), &trace);
+  const auto trace = kernel_trace(model);
 
   std::vector<MixPoint> points;
   for (int vector_cus = 0; vector_cus <= total_cus / 2;

@@ -1,5 +1,7 @@
 #include "scf/model.hpp"
 
+#include "core/error.hpp"
+
 namespace icsc::scf {
 
 TransformerModel::TransformerModel(const TransformerConfig& config, int layers)
@@ -26,11 +28,20 @@ double TransformerModel::flops() const {
   return total;
 }
 
-ModelInferenceEstimate estimate_model_inference(const TransformerModel& model,
+ModelInferenceEstimate estimate_model_inference(const TransformerConfig& config,
+                                                int layers,
                                                 const FabricConfig& fabric) {
-  // Trace once (kernel shapes are identical across inputs).
+  if (layers < 1) {
+    throw core::Error("scf::estimate_model_inference",
+                      "layers must be positive",
+                      "layers=" + std::to_string(layers));
+  }
+  const auto block = kernel_trace(config);
   std::vector<KernelCall> trace;
-  model.forward(make_activations(model.config(), 1), &trace);
+  trace.reserve(block.size() * static_cast<std::size_t>(layers));
+  for (int l = 0; l < layers; ++l) {
+    trace.insert(trace.end(), block.begin(), block.end());
+  }
   const ScalableComputeFabric scf(fabric);
   const auto stats = scf.run_trace(trace);
 

@@ -2,9 +2,10 @@
 //
 // The CU/fabric models time one encoder block; real inference runs stacks
 // of them (BERT-class encoders). TransformerModel composes L blocks with
-// distinct weights, provides the end-to-end numerical forward pass, and
-// rolls the full-model kernel trace into fabric-level latency/energy so
-// "blocks/s" becomes "sequences/s" at model scale.
+// distinct weights and provides the end-to-end numerical forward pass;
+// estimate_model_inference rolls the full-model kernel trace into
+// fabric-level latency/energy so "blocks/s" becomes "sequences/s" at model
+// scale.
 #pragma once
 
 #include <memory>
@@ -42,7 +43,11 @@ struct ModelInferenceEstimate {
   double power_w = 0.0;
 };
 
-ModelInferenceEstimate estimate_model_inference(const TransformerModel& model,
+/// Every block of a `layers`-deep stack has the same kernel shapes, so the
+/// model's trace is `layers` copies of kernel_trace(config): no weights are
+/// built. Throws core::Error on an invalid config or layers < 1.
+ModelInferenceEstimate estimate_model_inference(const TransformerConfig& config,
+                                                int layers,
                                                 const FabricConfig& fabric);
 
 }  // namespace icsc::scf

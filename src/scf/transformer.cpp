@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/bfloat16.hpp"
+#include "core/error.hpp"
 #include "core/rng.hpp"
 
 namespace icsc::scf {
@@ -113,9 +114,53 @@ void trace_other(std::vector<KernelCall>* trace, KernelCall::Kind kind,
 
 }  // namespace
 
+void TransformerConfig::validate() const {
+  const char* problem = nullptr;
+  if (heads == 0 || d_model % heads != 0) {
+    problem = "d_model must be a positive multiple of heads";
+  } else if (seq_len == 0) {
+    problem = "seq_len must be positive";
+  }
+  if (problem == nullptr) return;
+  throw core::Error("scf::TransformerConfig", problem,
+                    "seq_len=" + std::to_string(seq_len) +
+                        " d_model=" + std::to_string(d_model) +
+                        " heads=" + std::to_string(heads));
+}
+
+std::vector<KernelCall> kernel_trace(const TransformerConfig& config) {
+  config.validate();
+  const std::size_t s = config.seq_len;
+  const std::size_t d = config.d_model;
+  const std::size_t dh = config.d_head();
+  const std::size_t ff = config.d_ff;
+  std::vector<KernelCall> trace;
+  trace.reserve(11 + 3 * config.heads);
+  auto* out = &trace;
+  // Mirrors forward() call for call.
+  trace_gemm(out, s, d, d, "q_proj");
+  trace_gemm(out, s, d, d, "k_proj");
+  trace_gemm(out, s, d, d, "v_proj");
+  for (std::size_t head = 0; head < config.heads; ++head) {
+    const std::string h = std::to_string(head);
+    trace_gemm(out, s, dh, s, "attn_scores_h" + h);
+    trace_other(out, KernelCall::Kind::kSoftmax, s * s, "softmax_h" + h);
+    trace_gemm(out, s, s, dh, "attn_context_h" + h);
+  }
+  trace_gemm(out, s, d, d, "out_proj");
+  trace_other(out, KernelCall::Kind::kResidualAdd, s * d, "residual1");
+  trace_other(out, KernelCall::Kind::kLayerNorm, s * d, "ln1");
+  trace_gemm(out, s, d, ff, "ffn_up");
+  trace_other(out, KernelCall::Kind::kGelu, s * ff, "gelu");
+  trace_gemm(out, s, ff, d, "ffn_down");
+  trace_other(out, KernelCall::Kind::kResidualAdd, s * d, "residual2");
+  trace_other(out, KernelCall::Kind::kLayerNorm, s * d, "ln2");
+  return trace;
+}
+
 TransformerBlock::TransformerBlock(const TransformerConfig& config)
     : config_(config) {
-  assert(config.d_model % config.heads == 0);
+  config.validate();
   core::Rng rng(config.seed);
   wq_ = random_weights(config.d_model, config.d_model, rng);
   wk_ = random_weights(config.d_model, config.d_model, rng);

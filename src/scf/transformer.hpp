@@ -6,7 +6,9 @@
 // rounding on every tensor (fp32 accumulation inside GEMMs, matching the
 // tensor engine), and records the kernel sequence with sizes so the CU and
 // fabric models can time it. Numerical correctness is validated against an
-// fp32 reference in the test suite.
+// fp32 reference in the test suite. The timing models need only the
+// shapes, which kernel_trace() gives in closed form; forward()'s recorded
+// trace is its oracle.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +34,10 @@ struct TransformerConfig {
   SoftmaxFn softmax_override = nullptr;
 
   std::size_t d_head() const { return d_model / heads; }
+
+  /// Throws core::Error unless heads > 0, d_model % heads == 0 and
+  /// seq_len > 0 -- the shapes every block kernel derives from.
+  void validate() const;
 };
 
 /// One kernel invocation in the block, for the performance models.
@@ -42,9 +48,15 @@ struct KernelCall {
   std::string label;
 };
 
+/// The kernel sequence of one block forward pass -- the same kinds, shapes
+/// and labels, in the same order, as forward() records -- computed from the
+/// configuration alone. Throws core::Error on an invalid configuration.
+std::vector<KernelCall> kernel_trace(const TransformerConfig& config);
+
 /// Weights of one encoder block (deterministically initialised).
 class TransformerBlock {
 public:
+  /// Throws core::Error on an invalid configuration.
   explicit TransformerBlock(const TransformerConfig& config);
 
   /// Runs the block on input [seq_len, d_model]; returns same shape.

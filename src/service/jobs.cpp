@@ -369,8 +369,8 @@ JobBody make_scf_job(ScfJobOptions options,
     if (ctx.cancelled()) return;
     const int layers = static_cast<int>(scaled_trials(
         static_cast<std::size_t>(std::max(1, options.layers)), ctx.tier()));
-    const scf::TransformerModel model(options.model, layers);
-    const auto estimate = scf::estimate_model_inference(model, options.fabric);
+    const auto estimate =
+        scf::estimate_model_inference(options.model, layers, options.fabric);
     ctx.heartbeat();
     if (out) *out = estimate;
   };

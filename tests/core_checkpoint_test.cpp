@@ -2,12 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <string>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/failpoint.hpp"
 
 namespace icsc::core {
 namespace {
@@ -396,18 +398,25 @@ TEST_F(CheckpointTest, SnapshotSaveIntoMissingDirectoryNamesPath) {
 }
 
 TEST_F(CheckpointTest, SnapshotSaveIntoReadOnlyDirectoryNamesPath) {
-  if (::geteuid() == 0) {
-    GTEST_SKIP() << "EACCES is not enforced for root";
-  }
-  const std::string locked = path("locked");
-  ASSERT_EQ(::mkdir(locked.c_str(), 0500), 0);
+  // Root ignores directory permissions, so the permission denial is
+  // injected at the snapshot's write site instead of by chmod: the test
+  // runs the same for every user.
   SnapshotWriter writer;
   writer.put_u32(7);
-  const std::string bad = locked + "/snap.bin";
+  const std::string bad = path("snap.bin");
+  failpoint::Trigger denied;
+  denied.action = failpoint::Action::kError;
+  denied.error_code = EACCES;
+  failpoint::arm("checkpoint/write", denied);
   const std::string message =
       error_text([&] { writer.save(bad, kKind, 1); });
-  ::chmod(locked.c_str(), 0700);  // allow fixture cleanup
+  failpoint::disarm_all();
   EXPECT_NE(message.find(bad), std::string::npos) << message;
+  EXPECT_NE(message.find(std::strerror(EACCES)), std::string::npos)
+      << message;
+  // The failed save leaves neither the snapshot nor its temp file behind.
+  EXPECT_NE(::access(bad.c_str(), F_OK), 0);
+  EXPECT_NE(::access((bad + ".tmp").c_str(), F_OK), 0);
 }
 
 TEST_F(CheckpointTest, AppendOnClosedJournalNamesPath) {

@@ -140,14 +140,14 @@ TEST(DseCache, ScheduleCallsDropAtLeastThreeFold) {
   core::trace::set_enabled(false);
   core::trace::reset();
 
-  const auto old_calls = before.at("dse/schedule_calls");
-  const auto new_calls = after.at("dse/schedule_calls");
+  const auto old_calls = before.at("dse.schedule_calls");
+  const auto new_calls = after.at("dse.schedule_calls");
   EXPECT_GT(old_calls, 0u);
   EXPECT_LE(3 * new_calls, old_calls)
       << "memoized sweep ran " << new_calls << " schedule_list pipelines vs "
       << old_calls << " uncached";
-  EXPECT_EQ(after.at("dse/cache_hits") + after.at("dse/cache_misses"),
-            before.at("dse/schedule_calls"));
+  EXPECT_EQ(after.at("dse.cache_hits") + after.at("dse.cache_misses"),
+            before.at("dse.schedule_calls"));
 }
 
 TEST(DseCache, GridIsCanonicalRowMajor) {

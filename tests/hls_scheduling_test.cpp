@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "hls/binding.hpp"
 
 namespace icsc::hls {
@@ -117,6 +123,111 @@ TEST(ListScheduling, DividerBlocksFullLatency) {
   EXPECT_TRUE(schedule_is_valid(k, s, one_div));
   // Two divisions on one non-pipelined divider: >= 2*12 + add.
   EXPECT_GE(s.makespan, 2 * op_latency(OpKind::kDiv) + 1);
+}
+
+/// Reference list scheduler: re-sorts every ready op by (mobility, id) on
+/// each step and takes the front. schedule_list's heap must pick the same
+/// op at every step, so both give the same schedule.
+Schedule sorted_ready_list_schedule(const Kernel& kernel,
+                                    const ResourceBudget& budget) {
+  const std::size_t n = kernel.size();
+  const auto mob = mobility(kernel);
+  Schedule s;
+  s.start_cycle.assign(n, -1);
+  std::vector<int> remaining_deps(n, 0);
+  std::vector<std::vector<std::size_t>> consumers(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    remaining_deps[i] = static_cast<int>(kernel.ops()[i].operands.size());
+    for (const std::size_t operand : kernel.ops()[i].operands) {
+      consumers[operand].push_back(i);
+    }
+  }
+  std::map<FuClass, std::vector<int>> busy;
+  for (const FuClass cls :
+       {FuClass::kAlu, FuClass::kMul, FuClass::kDiv, FuClass::kMemPort}) {
+    const int count = budget.of(cls);
+    busy[cls].assign(
+        std::max(1, count == std::numeric_limits<int>::max() ? 1 : count), 0);
+  }
+  std::vector<int> earliest(n, 0);
+  std::vector<std::size_t> ready;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (remaining_deps[i] == 0) ready.push_back(i);
+  }
+  for (std::size_t scheduled = 0; scheduled < n; ++scheduled) {
+    std::sort(ready.begin(), ready.end(), [&](std::size_t a, std::size_t b) {
+      if (mob[a] != mob[b]) return mob[a] < mob[b];
+      return a < b;
+    });
+    const std::size_t op_id = ready.front();
+    ready.erase(ready.begin());
+    const OpKind kind = kernel.ops()[op_id].kind;
+    const FuClass cls = op_fu_class(kind);
+    int start = earliest[op_id];
+    if (cls != FuClass::kNone) {
+      auto& units = busy[cls];
+      auto best = std::min_element(units.begin(), units.end());
+      start = std::max(start, *best);
+      *best = start + (kind == OpKind::kDiv ? op_latency(OpKind::kDiv) : 1);
+    }
+    s.start_cycle[op_id] = start;
+    const int finish = start + op_latency(kind);
+    s.makespan = std::max(s.makespan, finish);
+    for (const std::size_t consumer : consumers[op_id]) {
+      earliest[consumer] = std::max(earliest[consumer], finish);
+      if (--remaining_deps[consumer] == 0) ready.push_back(consumer);
+    }
+  }
+  return s;
+}
+
+/// Four independent divisions feeding an add tree: the divider budget
+/// decides how they serialise.
+Kernel make_div_kernel() {
+  Kernel k("div4");
+  std::vector<std::size_t> quotients;
+  for (int i = 0; i < 4; ++i) {
+    quotients.push_back(k.div(k.input(), k.input()));
+  }
+  k.output(k.add(k.add(quotients[0], quotients[1]),
+                 k.add(quotients[2], quotients[3])));
+  return k;
+}
+
+TEST(ListScheduling, HeapMatchesTheSortedReadyList) {
+  int compared = 0;
+  for (const auto& body :
+       {make_fir_kernel(16), make_dot_kernel(16), make_spmv_row_kernel(8),
+        make_bfs_expand_kernel(8), make_div_kernel()}) {
+    for (const int unroll : {1, 2, 3, 4, 6, 8}) {
+      const Kernel kernel = unroll > 1 ? unroll_kernel(body, unroll) : body;
+      for (const int alus : {1, 2, 5}) {
+        for (const int muls : {1, 3}) {
+          for (const int divs : {1, 2}) {
+            for (const int ports : {1, 2, 4}) {
+              ResourceBudget budget;
+              budget.alus = alus;
+              budget.muls = muls;
+              budget.divs = divs;
+              budget.mem_ports = ports;
+              const auto heap = schedule_list(kernel, budget);
+              const auto sorted = sorted_ready_list_schedule(kernel, budget);
+              const std::string where =
+                  kernel.name() + " x" + std::to_string(unroll) + " alus=" +
+                  std::to_string(alus) + " muls=" + std::to_string(muls) +
+                  " divs=" + std::to_string(divs) +
+                  " ports=" + std::to_string(ports);
+              ASSERT_EQ(heap.start_cycle, sorted.start_cycle) << where;
+              ASSERT_EQ(heap.makespan, sorted.makespan) << where;
+              ASSERT_TRUE(schedule_is_valid(kernel, heap, budget)) << where;
+              ++compared;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 5 * 6 * 3 * 2 * 2 * 3);
 }
 
 TEST(MinII, ReflectsBottleneckResource) {

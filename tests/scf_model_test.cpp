@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/error.hpp"
+
 namespace icsc::scf {
 namespace {
 
@@ -49,10 +53,9 @@ TEST(Model, InferenceEstimateSane) {
   cfg.d_model = 256;
   cfg.heads = 4;
   cfg.d_ff = 1024;
-  const TransformerModel model(cfg, 12);  // BERT-base-ish depth
   FabricConfig fabric;
   fabric.num_cus = 16;
-  const auto est = estimate_model_inference(model, fabric);
+  const auto est = estimate_model_inference(cfg, 12, fabric);  // BERT-base-ish
   EXPECT_GT(est.sequences_per_second, 1.0);
   EXPECT_LT(est.sequences_per_second, 1e5);
   EXPECT_GT(est.gflops_sustained, 100.0);
@@ -65,10 +68,35 @@ TEST(Model, InferenceEstimateSane) {
 TEST(Model, DeeperModelsSlower) {
   const TransformerConfig cfg = tiny();
   FabricConfig fabric;
-  const auto shallow =
-      estimate_model_inference(TransformerModel(cfg, 2), fabric);
-  const auto deep = estimate_model_inference(TransformerModel(cfg, 8), fabric);
+  const auto shallow = estimate_model_inference(cfg, 2, fabric);
+  const auto deep = estimate_model_inference(cfg, 8, fabric);
   EXPECT_GT(deep.seconds_per_sequence, 3.0 * shallow.seconds_per_sequence);
+}
+
+TEST(Model, EstimateEqualsTheForwardTraceEstimate) {
+  // The estimate builds no weights; the oracle is the trace a full
+  // numerical forward pass of the stack records.
+  FabricConfig fabric;
+  fabric.num_cus = 4;
+  for (const int layers : {1, 4}) {
+    std::vector<KernelCall> trace;
+    TransformerModel(tiny(), layers)
+        .forward(make_activations(tiny(), 1), &trace);
+    const ScalableComputeFabric scf(fabric);
+    const auto stats = scf.run_trace(trace);
+    const auto est = estimate_model_inference(tiny(), layers, fabric);
+    EXPECT_EQ(est.seconds_per_sequence, stats.seconds(fabric.cu.fclk_mhz));
+    EXPECT_EQ(est.sequences_per_second,
+              1.0 / stats.seconds(fabric.cu.fclk_mhz));
+    EXPECT_EQ(est.gflops_sustained, stats.gflops(fabric.cu.fclk_mhz));
+    EXPECT_EQ(est.joules_per_sequence, stats.energy_pj * 1e-12);
+    EXPECT_EQ(est.power_w, scf.average_power_w(stats));
+  }
+}
+
+TEST(Model, EstimateRejectsAnEmptyStack) {
+  EXPECT_THROW(estimate_model_inference(tiny(), 0, FabricConfig{}),
+               core::Error);
 }
 
 }  // namespace

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "core/error.hpp"
 
 namespace icsc::scf {
 namespace {
@@ -128,6 +133,87 @@ TEST(Transformer, AttentionMixesSequencePositions) {
   }
   EXPECT_GT(other_row_change, 1e-4F);
 }
+
+TEST(Transformer, InvalidConfigsThrowInEveryBuildType) {
+  // Checked with core::Error, not assert, so a Release build rejects them
+  // too instead of tracing wrong d_head shapes.
+  auto no_heads = tiny_config(true);
+  no_heads.heads = 0;
+  auto ragged = tiny_config(true);
+  ragged.heads = 3;  // 32 % 3 != 0
+  auto empty = tiny_config(true);
+  empty.seq_len = 0;
+  for (const auto& cfg : {no_heads, ragged, empty}) {
+    EXPECT_THROW(cfg.validate(), core::Error);
+    EXPECT_THROW({ const TransformerBlock block(cfg); }, core::Error);
+    EXPECT_THROW(kernel_trace(cfg), core::Error);
+  }
+  EXPECT_NO_THROW(tiny_config(true).validate());
+}
+
+/// An override that is not the built-in softmax: uniform attention.
+std::vector<float> uniform_softmax(std::span<const float> row) {
+  return std::vector<float>(row.size(), 1.0F / static_cast<float>(row.size()));
+}
+
+struct TraceCase {
+  std::string name;
+  TransformerConfig config;
+};
+
+void PrintTo(const TraceCase& c, std::ostream* os) { *os << c.name; }
+
+TransformerConfig sized(std::size_t seq_len, std::size_t d_model,
+                        std::size_t heads, std::size_t d_ff, bool bf16) {
+  TransformerConfig cfg;
+  cfg.seq_len = seq_len;
+  cfg.d_model = d_model;
+  cfg.heads = heads;
+  cfg.d_ff = d_ff;
+  cfg.use_bf16 = bf16;
+  return cfg;
+}
+
+TransformerConfig with_override(TransformerConfig cfg) {
+  cfg.softmax_override = &uniform_softmax;
+  return cfg;
+}
+
+class KernelTraceMatchesForward : public ::testing::TestWithParam<TraceCase> {};
+
+/// The closed-form trace is the shape source for the timing models; the
+/// trace forward() records while computing is its oracle.
+TEST_P(KernelTraceMatchesForward, CallForCall) {
+  const TransformerConfig& cfg = GetParam().config;
+  std::vector<KernelCall> recorded;
+  TransformerBlock(cfg).forward(make_activations(cfg, 1), &recorded);
+  const auto closed_form = kernel_trace(cfg);
+  ASSERT_EQ(closed_form.size(), recorded.size());
+  EXPECT_EQ(closed_form.size(), 11 + 3 * cfg.heads);
+  for (std::size_t i = 0; i < recorded.size(); ++i) {
+    EXPECT_EQ(closed_form[i].kind, recorded[i].kind) << i;
+    EXPECT_EQ(closed_form[i].m, recorded[i].m) << recorded[i].label;
+    EXPECT_EQ(closed_form[i].k, recorded[i].k) << recorded[i].label;
+    EXPECT_EQ(closed_form[i].n, recorded[i].n) << recorded[i].label;
+    EXPECT_EQ(closed_form[i].label, recorded[i].label) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, KernelTraceMatchesForward,
+    ::testing::Values(
+        TraceCase{"tiny", tiny_config(true)},
+        TraceCase{"tiny_1head_fp32", sized(16, 32, 1, 64, false)},
+        TraceCase{"tiny_8heads_override",
+                  with_override(sized(16, 32, 8, 64, true))},
+        TraceCase{"s128x256", sized(128, 256, 4, 1024, true)},
+        TraceCase{"s128x256_1head_fp32", sized(128, 256, 1, 1024, false)},
+        TraceCase{"s128x256_8heads_override",
+                  with_override(sized(128, 256, 8, 1024, false))},
+        TraceCase{"s256x512_8heads", sized(256, 512, 8, 2048, true)}),
+    [](const ::testing::TestParamInfo<TraceCase>& info) {
+      return info.param.name;
+    });
 
 }  // namespace
 }  // namespace icsc::scf

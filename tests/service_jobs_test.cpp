@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "core/trace.hpp"
 #include "service/degrade.hpp"
 
 namespace icsc::service {
@@ -611,6 +612,54 @@ TEST_F(ServiceJobsTest, KilledJobResubmittedAcrossRestartIsServedFromStore) {
   for (std::size_t i = 0; i < direct.front.size(); ++i) {
     EXPECT_EQ(served->front[i].id, direct.front[i].id);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Metric naming: "/" names spans; counters and gauges use ".".
+
+TEST_F(ServiceJobsTest, TracedDseCampaignCountersAndGaugesUseDottedNames) {
+  DseJobOptions options;
+  options.kernel = hls::make_dot_kernel(4);
+  options.config.space.unroll_factors = {1, 2};
+  options.config.space.alu_counts = {1, 2};
+  options.config.space.mul_counts = {1};
+  options.config.space.mem_port_counts = {1, 2};
+  options.store_root = dir_ + "/stores";
+
+  core::trace::set_enabled(true);
+  core::trace::reset();
+  {
+    ServiceConfig config;
+    config.workers = 1;
+    config.scratch_dir = dir_;
+    CampaignService service(config);
+    // The first run computes and stores the campaign; the second is
+    // served from the store.
+    for (int run = 0; run < 2; ++run) {
+      core::JobRequest request;
+      request.allow_degrade = false;
+      request.body = make_dse_job(options, nullptr);
+      const auto submit = service.submit(std::move(request));
+      ASSERT_TRUE(submit.admitted);
+      EXPECT_EQ(wait_terminal(service, submit.id).state, JobState::kDone);
+    }
+  }
+  const auto counters = core::trace::counters();
+  const auto gauges = core::trace::gauges();
+  core::trace::set_enabled(false);
+  core::trace::reset();
+
+  for (const auto& [name, value] : counters) {
+    EXPECT_EQ(name.find('/'), std::string::npos) << "counter " << name;
+  }
+  for (const auto& [name, value] : gauges) {
+    EXPECT_EQ(name.find('/'), std::string::npos) << "gauge " << name;
+  }
+  for (const char* name : {"dse.schedule_calls", "dse.cache_misses",
+                           "dse.store_hits", "service.admitted"}) {
+    EXPECT_TRUE(counters.contains(name)) << name;
+  }
+  EXPECT_TRUE(gauges.contains("service.queue_depth"));
 }
 
 // ---------------------------------------------------------------------------
