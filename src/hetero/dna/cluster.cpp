@@ -6,153 +6,191 @@
 
 #include "core/parallel.hpp"
 #include "core/trace.hpp"
+#include "hetero/dna/greedy_scan.hpp"
 #include "hetero/dna/prefilter.hpp"
 
 namespace icsc::hetero::dna {
 
 namespace {
 
-/// Edit distance of a read against one representative plus the DP-cell
-/// count the serial kernel books for that comparison. Pure function of its
-/// inputs, so a batch of candidates can be evaluated concurrently.
-struct PairEval {
-  int distance = 0;
-  std::uint64_t dp = 0;
-  bool screened = false;  // resolved by a lower bound; no exact kernel ran
+constexpr std::size_t kNoMatch = std::numeric_limits<std::size_t>::max();
+
+/// Candidates screened per banded-Myers batch on the Myers path.
+constexpr std::size_t kScreenBlock = 32;
+
+/// Minimum pair evaluations per pool task. Below this a task is shorter
+/// than one worker wake-up, so batches over few clusters run inline.
+constexpr std::size_t kPairsPerTask = 512;
+
+/// Per-read scratch, one per batch slot, reused across batches.
+struct Slot {
+  std::vector<std::uint16_t> hist;  // the read's q-gram histogram
+  MyersPattern pattern{Strand{}};
+  std::size_t match = kNoMatch;
+  detail::ScanTally tally;
 };
 
-/// Evaluates one candidate pair under the non-screened kernels (full DP or
-/// banded DP). The screened-Myers path runs through the batched pipeline in
-/// cluster_reads instead: parallel lower-bound screens, then one SIMD
-/// myers-banded batch over the survivors.
-PairEval evaluate_pair(const Strand& bases, const Strand& representative,
-                       const ClusterParams& params) {
-  PairEval out;
-  if (params.band <= 0) {
-    out.distance = levenshtein_full(bases, representative);
-    out.dp = dp_cells(bases, representative);
-    return out;
+/// The clusters founded so far plus what one read's scan needs of them.
+struct ScanState {
+  const ClusterParams& params;
+  const detail::RejectRule& rule;
+  bool myers = false;
+  std::size_t hist_size = 0;
+  std::vector<Cluster> clusters;
+  std::vector<std::uint16_t> rep_hists;  // hist_size buckets per cluster
+
+  bool rejects(const Strand& bases, const Slot& slot, std::size_t c) const {
+    if (rule.use_length &&
+        length_lower_bound(bases, clusters[c].representative) > rule.bound) {
+      return true;
+    }
+    return rule.q > 0 &&
+           detail::qgram_bound(slot.hist.data(), &rep_hists[c * hist_size],
+                               hist_size, rule.q) > rule.bound;
   }
-  out.distance = levenshtein_banded(bases, representative, params.band);
-  out.dp = static_cast<std::uint64_t>(bases.size()) * (2 * params.band + 1);
-  return out;
-}
 
-bool use_screen(const ClusterParams& params) {
-  return params.band > 0 && params.kernel == DistanceKernel::kScreenedMyers &&
-         params.screen_q >= 1 && params.screen_q <= 8;
-}
+  /// Scans clusters [lo, hi) in order and returns the first match (or
+  /// kNoMatch), booking pairs into slot.tally up to and including it. The
+  /// DP kernels run pair by pair; the Myers path screens a block of
+  /// candidates, then runs one SIMD banded-Myers batch over the survivors.
+  std::size_t scan(const Strand& bases, Slot& slot, std::size_t lo,
+                   std::size_t hi) const {
+    const int threshold = params.distance_threshold;
+    if (!myers) {
+      for (std::size_t c = lo; c < hi; ++c) {
+        ++slot.tally.candidates;
+        const Strand& rep = clusters[c].representative;
+        int distance = rule.rejected_distance;
+        if (rejects(bases, slot, c)) {
+          ++slot.tally.rejected;
+        } else if (params.band > 0) {
+          distance = levenshtein_banded(bases, rep, params.band);
+          slot.tally.dp_cells +=
+              static_cast<std::uint64_t>(bases.size()) * (2 * params.band + 1);
+        } else {
+          distance = levenshtein_full(bases, rep);
+          slot.tally.dp_cells += dp_cells(bases, rep);
+        }
+        if (distance <= threshold) return c;
+      }
+      return kNoMatch;
+    }
+    std::array<std::uint8_t, kScreenBlock> rejected;
+    std::array<const Strand*, kScreenBlock> survivors;
+    std::array<int, kScreenBlock> survivor_dist;
+    for (std::size_t base = lo; base < hi; base += kScreenBlock) {
+      const std::size_t count = std::min(kScreenBlock, hi - base);
+      std::size_t live = 0;
+      for (std::size_t i = 0; i < count; ++i) {
+        rejected[i] = rejects(bases, slot, base + i);
+        if (!rejected[i]) {
+          survivors[live++] = &clusters[base + i].representative;
+        }
+      }
+      levenshtein_myers_banded_batch(slot.pattern, survivors.data(), live,
+                                     params.band, survivor_dist.data());
+      // Screens past the first match are discarded unbooked.
+      std::size_t next_survivor = 0;
+      for (std::size_t i = 0; i < count; ++i) {
+        ++slot.tally.candidates;
+        int distance = rule.rejected_distance;
+        if (rejected[i]) {
+          ++slot.tally.rejected;
+        } else {
+          distance = survivor_dist[next_survivor++];
+          slot.tally.dp_cells +=
+              myers_cells(bases, clusters[base + i].representative);
+        }
+        if (distance <= threshold) return base + i;
+      }
+    }
+    return kNoMatch;
+  }
 
-/// Block size for the speculative candidate scan: large enough to keep the
-/// pool busy, small enough to bound wasted work past the first match.
-std::size_t scan_block() {
-  return std::max<std::size_t>(16, 8 * core::parallel_threads());
-}
+  void prepare(const Strand& bases, Slot& slot) const {
+    if (rule.q > 0) detail::fill_qgram_histogram(bases, rule.q, slot.hist);
+    if (myers) slot.pattern.assign(bases);
+    slot.match = kNoMatch;
+    slot.tally = {};
+  }
+};
 
 }  // namespace
+
+namespace detail {
+
+std::vector<Cluster> greedy_scan(const std::vector<Read>& reads,
+                                 const ClusterParams& params,
+                                 const RejectRule& rule, ScanTally& tally) {
+  ScanState state{
+      params, rule,
+      params.band > 0 && params.kernel == DistanceKernel::kScreenedMyers,
+      rule.q > 0 ? std::size_t{1} << (2 * rule.q) : 0, {}, {}};
+  auto& clusters = state.clusters;
+  // Reads go in batches. Each read of a batch scans, concurrently with the
+  // others, the clusters founded before the batch; the batch then folds
+  // serially in read order, and a read without a match there goes on to
+  // the clusters founded within the batch. Every read thus meets the
+  // clusters in founding order and stops at its first match, as the serial
+  // scan does, so clusters and tally do not depend on the batch width or
+  // the thread count.
+  std::vector<Slot> slots(8 * core::parallel_threads());
+  for (std::size_t first = 0; first < reads.size(); first += slots.size()) {
+    const std::size_t count = std::min(slots.size(), reads.size() - first);
+    const std::size_t known = clusters.size();
+    const std::size_t grain = std::max<std::size_t>(
+        1, kPairsPerTask / std::max<std::size_t>(known, 1));
+    core::parallel_for(0, count, grain, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) {
+        const Strand& bases = reads[first + i].bases;
+        state.prepare(bases, slots[i]);
+        slots[i].match = state.scan(bases, slots[i], 0, known);
+      }
+    });
+    for (std::size_t i = 0; i < count; ++i) {
+      Slot& slot = slots[i];
+      const std::size_t r = first + i;
+      if (slot.match == kNoMatch) {
+        slot.match = state.scan(reads[r].bases, slot, known, clusters.size());
+      }
+      tally.candidates += slot.tally.candidates;
+      tally.rejected += slot.tally.rejected;
+      tally.dp_cells += slot.tally.dp_cells;
+      if (slot.match != kNoMatch) {
+        clusters[slot.match].read_indices.push_back(r);
+        continue;
+      }
+      Cluster fresh;
+      fresh.read_indices.push_back(r);
+      fresh.representative = reads[r].bases;
+      clusters.push_back(std::move(fresh));
+      state.rep_hists.insert(state.rep_hists.end(), slot.hist.begin(),
+                             slot.hist.end());
+    }
+  }
+  return std::move(clusters);
+}
+
+}  // namespace detail
 
 ClusterResult cluster_reads(const std::vector<Read>& reads,
                             const ClusterParams& params) {
   ICSC_TRACE_SPAN("dna/cluster_reads");
-  ClusterResult result;
-  const std::size_t block = scan_block();
-  const bool screen = use_screen(params);
-  const bool batched =
-      params.band > 0 && params.kernel == DistanceKernel::kScreenedMyers;
-  // Representative q-gram histograms, computed once per cluster (founding
-  // read) instead of once per candidate pair.
-  std::vector<std::vector<std::uint16_t>> rep_hists;
-  // Scratch reused across blocks by the batched screened-Myers path.
-  std::vector<std::uint8_t> rejected;
-  std::vector<const Strand*> survivors;
-  std::vector<int> survivor_dist;
-  for (std::size_t r = 0; r < reads.size(); ++r) {
-    const Strand& bases = reads[r].bases;
-    const auto read_hist = screen ? qgram_histogram(bases, params.screen_q)
-                                  : std::vector<std::uint16_t>{};
-    // Match masks built once per read and reused across every candidate
-    // (the screened path's only per-pair state is the text itself).
-    const auto pattern =
-        batched ? MyersPattern(bases) : MyersPattern(Strand{});
-    auto& clusters = result.clusters;
-    bool assigned = false;
-    // The serial greedy scan joins the first cluster within threshold and
-    // stops. Here candidate blocks are evaluated in parallel, then folded
-    // in cluster order: counters are booked only up to and including the
-    // first match, so clusters AND work counters are bit-identical to the
-    // serial scan (speculative evaluations past the match are discarded).
-    for (std::size_t base = 0; base < clusters.size() && !assigned;
-         base += block) {
-      const std::size_t count = std::min(block, clusters.size() - base);
-      if (batched) {
-        // Stage 1 in parallel: lower-bound screens (d >= |len(a) - len(b)|
-        // and d >= L1(qgram hists) / (2q)); a bound beyond the band already
-        // decides the banded-contract answer, exactly as the banded kernel
-        // would have returned band + 1.
-        rejected.resize(count);
-        core::parallel_for(0, count, 1, [&](std::size_t b, std::size_t e) {
-          for (std::size_t i = b; i < e; ++i) {
-            const Strand& rep = clusters[base + i].representative;
-            rejected[i] =
-                length_lower_bound(bases, rep) > params.band ||
-                (screen &&
-                 qgram_histogram_lower_bound(read_hist, rep_hists[base + i],
-                                             params.screen_q) > params.band);
-          }
-        });
-        // Stage 2: one bit-parallel banded-Myers batch over the survivors,
-        // lanes spanning candidate representatives.
-        survivors.clear();
-        for (std::size_t i = 0; i < count; ++i) {
-          if (!rejected[i]) {
-            survivors.push_back(&clusters[base + i].representative);
-          }
-        }
-        survivor_dist.resize(survivors.size());
-        levenshtein_myers_banded_batch(pattern, survivors.data(),
-                                       survivors.size(), params.band,
-                                       survivor_dist.data());
-        std::size_t next_survivor = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-          ++result.pair_comparisons;
-          int distance = params.band + 1;
-          if (rejected[i]) {
-            ++result.screened_out;
-          } else {
-            distance = survivor_dist[next_survivor++];
-            result.dp_cells_updated +=
-                myers_cells(bases, clusters[base + i].representative);
-          }
-          if (distance <= params.distance_threshold) {
-            clusters[base + i].read_indices.push_back(r);
-            assigned = true;
-            break;
-          }
-        }
-        continue;
-      }
-      const auto evals = core::parallel_map(count, 1, [&](std::size_t i) {
-        return evaluate_pair(bases, clusters[base + i].representative, params);
-      });
-      for (std::size_t i = 0; i < count; ++i) {
-        ++result.pair_comparisons;
-        result.dp_cells_updated += evals[i].dp;
-        if (evals[i].screened) ++result.screened_out;
-        if (evals[i].distance <= params.distance_threshold) {
-          clusters[base + i].read_indices.push_back(r);
-          assigned = true;
-          break;
-        }
-      }
-    }
-    if (!assigned) {
-      Cluster fresh;
-      fresh.read_indices.push_back(r);
-      fresh.representative = bases;
-      clusters.push_back(std::move(fresh));
-      if (screen) rep_hists.push_back(read_hist);
-    }
+  // The screened kernel resolves a pair whose lower bound already exceeds
+  // the band to the banded contract's band + 1, as the exact kernel would.
+  detail::RejectRule rule;
+  if (params.band > 0 && params.kernel == DistanceKernel::kScreenedMyers) {
+    rule.use_length = true;
+    rule.q = params.screen_q >= 1 && params.screen_q <= 8 ? params.screen_q : 0;
+    rule.bound = params.band;
+    rule.rejected_distance = params.band + 1;
   }
+  detail::ScanTally tally;
+  ClusterResult result;
+  result.clusters = detail::greedy_scan(reads, params, rule, tally);
+  result.pair_comparisons = tally.candidates;
+  result.dp_cells_updated = tally.dp_cells;
+  result.screened_out = tally.rejected;
   ICSC_TRACE_COUNT("dna.pair_comparisons", result.pair_comparisons);
   ICSC_TRACE_COUNT("dna.dp_cells", result.dp_cells_updated);
   ICSC_TRACE_COUNT("dna.screened_out", result.screened_out);
@@ -207,29 +245,35 @@ struct Votes {
         insertion_votes(n + 1, {0, 0, 0, 0}) {}
 };
 
-/// Aligns `read` to `medoid` by full DP and adds its votes.
-void vote_alignment(const Strand& medoid, const Strand& read, Votes& votes) {
+/// Aligns `read` to `medoid` by full DP and adds its votes. `dp` is
+/// row-major scratch reused across members.
+void vote_alignment(const Strand& medoid, const Strand& read, Votes& votes,
+                    std::vector<int>& dp) {
   const std::size_t n = medoid.size();
   const std::size_t m = read.size();
-  // dp[i][j]: distance between medoid[0,i) and read[0,j).
-  std::vector<std::vector<int>> dp(n + 1, std::vector<int>(m + 1));
-  for (std::size_t i = 0; i <= n; ++i) dp[i][0] = static_cast<int>(i);
-  for (std::size_t j = 0; j <= m; ++j) dp[0][j] = static_cast<int>(j);
+  const std::size_t w = m + 1;
+  // at(i, j): distance between medoid[0,i) and read[0,j).
+  dp.resize((n + 1) * w);
+  const auto at = [&](std::size_t i, std::size_t j) -> int& {
+    return dp[i * w + j];
+  };
+  for (std::size_t i = 0; i <= n; ++i) at(i, 0) = static_cast<int>(i);
+  for (std::size_t j = 0; j <= m; ++j) at(0, j) = static_cast<int>(j);
   for (std::size_t i = 1; i <= n; ++i) {
     for (std::size_t j = 1; j <= m; ++j) {
-      const int sub = dp[i - 1][j - 1] + (medoid[i - 1] == read[j - 1] ? 0 : 1);
-      dp[i][j] = std::min({sub, dp[i - 1][j] + 1, dp[i][j - 1] + 1});
+      const int sub = at(i - 1, j - 1) + (medoid[i - 1] == read[j - 1] ? 0 : 1);
+      at(i, j) = std::min({sub, at(i - 1, j) + 1, at(i, j - 1) + 1});
     }
   }
   // Backtrace, preferring diagonal moves (keeps votes aligned on matches).
   std::size_t i = n, j = m;
   while (i > 0 || j > 0) {
     if (i > 0 && j > 0 &&
-        dp[i][j] == dp[i - 1][j - 1] + (medoid[i - 1] == read[j - 1] ? 0 : 1)) {
+        at(i, j) == at(i - 1, j - 1) + (medoid[i - 1] == read[j - 1] ? 0 : 1)) {
       votes.base_votes[i - 1][static_cast<std::uint8_t>(read[j - 1])] += 1;
       --i;
       --j;
-    } else if (j > 0 && dp[i][j] == dp[i][j - 1] + 1) {
+    } else if (j > 0 && at(i, j) == at(i, j - 1) + 1) {
       // Read has an extra base: insertion in the gap before medoid position i.
       votes.insertion_votes[i][static_cast<std::uint8_t>(read[j - 1])] += 1;
       --j;
@@ -247,39 +291,33 @@ Strand call_consensus(const std::vector<Read>& reads, const Cluster& cluster) {
   if (members.empty()) return {};
   if (members.size() == 1) return reads[members.front()].bases;
 
-  // Medoid: member with the minimum total distance to the others. The
-  // all-pairs totals are independent per candidate; the serial argmin over
-  // the ordered totals keeps the earliest minimum, as before.
-  const auto totals =
-      core::parallel_map(members.size(), 4, [&](std::size_t c) {
-        long total = 0;
-        for (const std::size_t other : members) {
-          if (other == members[c]) continue;
-          total +=
-              levenshtein_myers(reads[members[c]].bases, reads[other].bases);
-        }
-        return total;
-      });
+  // Medoid: member with the minimum total distance to the others (the
+  // earliest on ties). Serial: call_all_consensus already fans out over
+  // clusters.
   std::size_t medoid_index = members.front();
   long best_total = std::numeric_limits<long>::max();
-  for (std::size_t c = 0; c < members.size(); ++c) {
-    if (totals[c] < best_total) {
-      best_total = totals[c];
-      medoid_index = members[c];
+  for (const std::size_t candidate : members) {
+    long total = 0;
+    for (const std::size_t other : members) {
+      if (other == candidate) continue;
+      total += levenshtein_myers(reads[candidate].bases, reads[other].bases);
+    }
+    if (total < best_total) {
+      best_total = total;
+      medoid_index = candidate;
     }
   }
   const Strand& medoid = reads[medoid_index].bases;
 
   Votes votes(medoid.size());
-  int voters = 0;
+  std::vector<int> dp;
   for (const std::size_t idx : members) {
-    vote_alignment(medoid, reads[idx].bases, votes);
-    ++voters;
+    vote_alignment(medoid, reads[idx].bases, votes, dp);
   }
 
   Strand consensus;
   consensus.reserve(medoid.size());
-  const int majority = voters / 2 + 1;
+  const int majority = static_cast<int>(members.size()) / 2 + 1;
   auto emit_insertions = [&](std::size_t gap) {
     const auto& iv = votes.insertion_votes[gap];
     const int total = iv[0] + iv[1] + iv[2] + iv[3];

@@ -9,8 +9,9 @@
 
 namespace icsc::hetero::dna {
 
-MyersPattern::MyersPattern(const Strand& pattern)
-    : length_(pattern.size()), peq_(4 * ((pattern.size() + 63) / 64), 0) {
+void MyersPattern::assign(const Strand& pattern) {
+  length_ = pattern.size();
+  peq_.assign(4 * ((pattern.size() + 63) / 64), 0);
   for (std::size_t i = 0; i < pattern.size(); ++i) {
     peq_[(i / 64) * 4 + static_cast<std::uint8_t>(pattern[i])] |=
         std::uint64_t{1} << (i % 64);
@@ -20,18 +21,22 @@ MyersPattern::MyersPattern(const Strand& pattern)
 void levenshtein_myers_banded_batch(const MyersPattern& pattern,
                                     const Strand* const* texts,
                                     std::size_t count, int band, int* out) {
-  if (count == 0) return;
   // Base is a uint8_t enum and a Strand is contiguous, so each text is
-  // already the symbol-code array the core kernel consumes.
-  std::vector<const std::uint8_t*> ptrs(count);
-  std::vector<std::size_t> lens(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    ptrs[i] = reinterpret_cast<const std::uint8_t*>(texts[i]->data());
-    lens[i] = texts[i]->size();
+  // already the symbol-code array the core kernel consumes. Lanes are
+  // independent, so texts go in stack-sized chunks without heap scratch.
+  constexpr std::size_t kChunk = 64;
+  std::array<const std::uint8_t*, kChunk> ptrs;
+  std::array<std::size_t, kChunk> lens;
+  for (std::size_t first = 0; first < count; first += kChunk) {
+    const std::size_t n = std::min(kChunk, count - first);
+    for (std::size_t i = 0; i < n; ++i) {
+      ptrs[i] = reinterpret_cast<const std::uint8_t*>(texts[first + i]->data());
+      lens[i] = texts[first + i]->size();
+    }
+    core::simd::myers_banded_batch(pattern.peq(), pattern.blocks(),
+                                   pattern.length(), ptrs.data(), lens.data(),
+                                   n, band, out + first);
   }
-  core::simd::myers_banded_batch(pattern.peq(), pattern.blocks(),
-                                 pattern.length(), ptrs.data(), lens.data(),
-                                 count, band, out);
 }
 
 int levenshtein_full(const Strand& a, const Strand& b) {

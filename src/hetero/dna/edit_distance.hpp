@@ -44,7 +44,10 @@ int levenshtein_myers_banded(const Strand& a, const Strand& b, int band);
 /// passes construct one per read and amortise it over every candidate.
 class MyersPattern {
 public:
-  explicit MyersPattern(const Strand& pattern);
+  explicit MyersPattern(const Strand& pattern) { assign(pattern); }
+
+  /// Rebuilds the table for `pattern`, reusing the storage.
+  void assign(const Strand& pattern);
 
   std::size_t length() const { return length_; }
   std::size_t blocks() const { return peq_.size() / 4; }

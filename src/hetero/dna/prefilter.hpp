@@ -23,16 +23,19 @@ namespace icsc::hetero::dna {
 int length_lower_bound(const Strand& a, const Strand& b);
 
 /// q-gram-lemma lower bound on the edit distance: each edit destroys at
-/// most q q-grams, so d >= (shared-deficit) / q. q in [1, 8].
+/// most q q-grams, so d >= (shared-deficit) / q. Throws core::Error unless
+/// q is in [1, 8].
 int qgram_lower_bound(const Strand& a, const Strand& b, int q);
 
 /// 4^q-bucket q-gram histogram of a strand (q in [1, 8] keeps the table
-/// <= 64Ki buckets). Cache these per cluster representative so repeated
-/// bound evaluations cost one L1 pass instead of a rebuild.
+/// <= 64Ki buckets; any other q throws core::Error). Cache these per
+/// cluster representative so repeated bound evaluations cost one L1 pass
+/// instead of a rebuild.
 std::vector<std::uint16_t> qgram_histogram(const Strand& s, int q);
 
 /// The q-gram lower bound evaluated on two precomputed histograms:
-/// L1(ha, hb) / (2q). Both histograms must have been built with the same q.
+/// L1(ha, hb) / (2q). Both histograms must have been built with the same q;
+/// throws core::Error when their sizes differ or q is not in [1, 8].
 int qgram_histogram_lower_bound(const std::vector<std::uint16_t>& ha,
                                 const std::vector<std::uint16_t>& hb, int q);
 
@@ -43,7 +46,9 @@ struct FilterParams {
 };
 
 /// Greedy star clustering with pre-alignment filtering: candidate pairs
-/// whose lower bound exceeds the threshold skip the exact kernel.
+/// whose lower bound exceeds the threshold skip the exact kernel. Runs the
+/// same read-batched scan as cluster_reads. Throws core::Error when
+/// use_qgram is set and q is not in [1, 8].
 struct FilteredClusterResult {
   ClusterResult clusters;
   std::uint64_t candidates = 0;       // pairs considered
