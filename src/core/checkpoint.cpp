@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -15,207 +14,68 @@ namespace icsc::core {
 
 namespace {
 
-// File layouts (all integers little-endian):
-//   snapshot: "ICSCSNAP" | u32 kind | u32 version | u64 payload_size |
-//             u32 payload_crc | u32 header_crc | payload
-//   journal record: u32 magic | u32 kind | u64 seq | u64 payload_size |
-//                   u32 payload_crc | u32 header_crc | payload
-constexpr char kSnapshotMagic[8] = {'I', 'C', 'S', 'C', 'S', 'N', 'A', 'P'};
-constexpr std::size_t kSnapshotHeaderSize = 32;
-constexpr std::uint32_t kJournalMagic = 0x4C4E524AU;  // "JRNL"
-constexpr std::size_t kJournalHeaderSize = 32;
-// Torn-tail safety valve: a corrupted size field must not drive a
-// multi-gigabyte allocation while scanning a journal.
-constexpr std::uint64_t kMaxRecordBytes = 1ULL << 32;
+// Frame fields (core/record_frame):
+//   snapshot:       lead = "ICSCSNAP",           key = kind | version << 32
+//   journal record: lead = "JRNL" | kind << 32,  key = seq
+constexpr record_frame::Magic kSnapshotMagic{0x50414E5343534349ULL};
+constexpr record_frame::Magic kJournalMagic{0x4C4E524AULL, 0xFFFFFFFFULL};
 
-void store_u32(std::uint8_t* at, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) at[i] = static_cast<std::uint8_t>(value >> (8 * i));
-}
-
-void store_u64(std::uint8_t* at, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) at[i] = static_cast<std::uint8_t>(value >> (8 * i));
-}
-
-std::uint32_t load_u32(const std::uint8_t* at) {
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) value |= std::uint32_t{at[i]} << (8 * i);
-  return value;
-}
-
-std::uint64_t load_u64(const std::uint8_t* at) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) value |= std::uint64_t{at[i]} << (8 * i);
-  return value;
-}
-
-/// Full write through the failpoint layer: `site` names the durability
-/// code path ("checkpoint/write", "journal/write") so the torture suite
-/// can inject short writes, EIO/ENOSPC, and crash-here at this exact
-/// boundary. A passthrough (one relaxed load) when nothing is armed.
-void write_all(const char* site, int fd, const void* data, std::size_t size,
-               const std::string& path) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  while (size > 0) {
-    const ssize_t written = failpoint::checked_write(site, fd, bytes, size);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      throw Error("core::checkpoint", "write failed",
-                  path + ": " + std::strerror(errno));
-    }
-    bytes += written;
-    size -= static_cast<std::size_t>(written);
+/// Whole contents of `path`, or nullopt when it does not exist.
+std::optional<std::vector<std::uint8_t>> read_file(const std::string& path,
+                                                   const char* what) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    if (errno == ENOENT) return std::nullopt;
+    throw Error("core::checkpoint", std::string("cannot open ") + what,
+                path + ": " + std::strerror(errno));
   }
-}
-
-std::vector<std::uint8_t> read_whole_file(int fd, const std::string& path) {
   std::vector<std::uint8_t> bytes;
-  std::array<std::uint8_t, 65536> chunk;
-  for (;;) {
-    const ssize_t got = ::read(fd, chunk.data(), chunk.size());
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      throw Error("core::checkpoint", "read failed",
-                  path + ": " + std::strerror(errno));
-    }
-    if (got == 0) break;
-    bytes.insert(bytes.end(), chunk.data(), chunk.data() + got);
+  try {
+    bytes = record_frame::read_from(fd, 0, path);
+  } catch (...) {
+    ::close(fd);
+    throw;
   }
+  ::close(fd);
   return bytes;
 }
 
-void fsync_parent_dir(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;  // best-effort: rename durability on exotic filesystems
-  ::fsync(fd);
-  ::close(fd);
-}
-
-/// True when a complete, CRC-clean record starts at `bytes[at]`; fills the
-/// outputs. Does not check the record's stream kind.
-bool parse_journal_record(const std::vector<std::uint8_t>& bytes,
-                          std::size_t at, std::uint32_t* record_kind,
-                          std::uint64_t* seq, const std::uint8_t** payload,
-                          std::uint64_t* size, std::size_t* record_end) {
-  if (bytes.size() - at < kJournalHeaderSize) return false;
-  const std::uint8_t* head = bytes.data() + at;
-  if (load_u32(head) != kJournalMagic ||
-      crc32(head, kJournalHeaderSize - 4) != load_u32(head + 28)) {
-    return false;
-  }
-  const std::uint64_t payload_size = load_u64(head + 16);
-  if (payload_size > kMaxRecordBytes ||
-      bytes.size() - at - kJournalHeaderSize < payload_size) {
-    return false;
-  }
-  const std::uint8_t* body = head + kJournalHeaderSize;
-  if (crc32(body, static_cast<std::size_t>(payload_size)) !=
-      load_u32(head + 24)) {
-    return false;
-  }
-  *record_kind = load_u32(head + 4);
-  *seq = load_u64(head + 8);
-  *payload = body;
-  *size = payload_size;
-  *record_end = at + kJournalHeaderSize + static_cast<std::size_t>(payload_size);
-  return true;
-}
-
-/// Scans `bytes` for valid journal records of `kind`; returns the records
-/// and sets `valid_end` to the byte offset of the last complete, CRC-clean
-/// record. A corrupt record *mid-file* (bit-flip, interrupted overwrite)
-/// is skipped and counted in `*skipped` -- the scan resynchronizes on the
-/// next valid record boundary -- so one damaged record no longer silently
-/// discards every record after it. Only the trailing region with no valid
-/// record after it (the torn tail a dying writer leaves) is dropped.
-std::vector<JournalRecord> scan_journal(const std::vector<std::uint8_t>& bytes,
-                                        std::uint32_t kind,
-                                        const std::string& path,
-                                        std::size_t* valid_end,
-                                        std::size_t* skipped) {
-  std::vector<JournalRecord> records;
-  std::size_t cursor = 0;
-  *valid_end = 0;
-  *skipped = 0;
-  while (cursor < bytes.size()) {
-    std::uint32_t record_kind = 0;
-    std::uint64_t seq = 0;
-    const std::uint8_t* payload = nullptr;
-    std::uint64_t size = 0;
-    std::size_t record_end = 0;
-    if (parse_journal_record(bytes, cursor, &record_kind, &seq, &payload,
-                             &size, &record_end)) {
-      if (record_kind != kind) {
-        if (records.empty() && *skipped == 0) {
+/// Recovers every valid journal record of `kind` from `bytes` into
+/// `records` and counts corrupt mid-file records into `*skipped` (one
+/// damaged record does not discard every record after it). Returns the
+/// offset one past the last valid record. A valid record of another kind
+/// means the file belongs to another stream: throws before the caller can
+/// truncate anything.
+std::size_t scan_journal(const std::vector<std::uint8_t>& bytes,
+                         std::uint32_t kind, const std::string& path,
+                         std::vector<JournalRecord>* records,
+                         std::size_t* skipped) {
+  const record_frame::ScanResult scan = record_frame::scan(
+      bytes, kJournalMagic, [&](const record_frame::Frame& frame) {
+        if (frame.lead >> 32 != kind) {
           throw Error("core::checkpoint", "journal belongs to another stream",
                       path);
         }
-        break;
-      }
-      JournalRecord record;
-      record.seq = seq;
-      record.payload.assign(payload, payload + size);
-      records.push_back(std::move(record));
-      cursor = record_end;
-      *valid_end = cursor;
-      continue;
-    }
-    // Invalid bytes at `cursor`: resynchronize by searching for the next
-    // offset that parses as a complete valid record. Found -> the gap was
-    // a corrupt mid-file record: count it and continue after it. Not
-    // found -> torn tail; stop at the last valid record.
-    std::size_t next = cursor + 1;
-    bool resynced = false;
-    for (; next + kJournalHeaderSize <= bytes.size(); ++next) {
-      if (load_u32(bytes.data() + next) != kJournalMagic) continue;
-      std::size_t probe_end = 0;
-      if (parse_journal_record(bytes, next, &record_kind, &seq, &payload,
-                               &size, &probe_end)) {
-        resynced = true;
-        break;
-      }
-    }
-    if (!resynced) break;
-    ++*skipped;
-    ICSC_TRACE_COUNT("journal.skipped_records", 1);
-    cursor = next;
-  }
-  return records;
+        records->push_back(JournalRecord{
+            frame.key, {frame.payload, frame.payload + frame.size}});
+      });
+  *skipped = scan.skipped_regions;
+  if (*skipped > 0) ICSC_TRACE_COUNT("journal.skipped_records", *skipped);
+  return scan.valid_end;
 }
 
 }  // namespace
 
-std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t crc) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  crc = ~crc;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFF] ^ (crc >> 8);
-  }
-  return ~crc;
-}
-
 void SnapshotWriter::put_u32(std::uint32_t value) {
   const std::size_t at = bytes_.size();
   bytes_.resize(at + 4);
-  store_u32(bytes_.data() + at, value);
+  record_frame::store_u32(bytes_.data() + at, value);
 }
 
 void SnapshotWriter::put_u64(std::uint64_t value) {
   const std::size_t at = bytes_.size();
   bytes_.resize(at + 8);
-  store_u64(bytes_.data() + at, value);
+  record_frame::store_u64(bytes_.data() + at, value);
 }
 
 void SnapshotWriter::put_f64(double value) {
@@ -240,13 +100,9 @@ void SnapshotWriter::save(const std::string& path, std::uint32_t kind,
   ICSC_TRACE_SPAN("checkpoint/save");
   ICSC_TRACE_COUNT("checkpoint.saves", 1);
   ICSC_TRACE_COUNT("checkpoint.bytes", bytes_.size());
-  std::array<std::uint8_t, kSnapshotHeaderSize> header{};
-  std::memcpy(header.data(), kSnapshotMagic, sizeof(kSnapshotMagic));
-  store_u32(header.data() + 8, kind);
-  store_u32(header.data() + 12, version);
-  store_u64(header.data() + 16, bytes_.size());
-  store_u32(header.data() + 24, crc32(bytes_.data(), bytes_.size()));
-  store_u32(header.data() + 28, crc32(header.data(), kSnapshotHeaderSize - 4));
+  const record_frame::Header header = record_frame::encode_header(
+      kSnapshotMagic.value, kind | std::uint64_t{version} << 32,
+      bytes_.data(), bytes_.size());
 
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -255,8 +111,8 @@ void SnapshotWriter::save(const std::string& path, std::uint32_t kind,
                 tmp + ": " + std::strerror(errno));
   }
   try {
-    write_all("checkpoint/write", fd, header.data(), header.size(), tmp);
-    write_all("checkpoint/write", fd, bytes_.data(), bytes_.size(), tmp);
+    record_frame::write_frame("checkpoint/write", fd, header, bytes_.data(),
+                              bytes_.size(), tmp);
     if (failpoint::checked_fsync("checkpoint/fsync", fd) != 0) {
       throw Error("core::checkpoint", "fsync failed",
                   tmp + ": " + std::strerror(errno));
@@ -273,55 +129,33 @@ void SnapshotWriter::save(const std::string& path, std::uint32_t kind,
     throw Error("core::checkpoint", "atomic rename failed",
                 path + ": " + std::strerror(errno));
   }
-  fsync_parent_dir(path);
+  record_frame::fsync_parent_dir(path);
 }
 
 std::optional<SnapshotReader> SnapshotReader::try_load(
     const std::string& path, std::uint32_t kind, std::uint32_t max_version) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return std::nullopt;  // fresh start
-    throw Error("core::checkpoint", "cannot open snapshot",
-                path + ": " + std::strerror(errno));
+  const auto bytes = read_file(path, "snapshot");
+  if (!bytes) return std::nullopt;  // fresh start
+  const record_frame::Frame frame =
+      record_frame::parse(*bytes, 0, kSnapshotMagic);
+  if (!frame.ok()) {
+    throw Error("core::checkpoint", std::string("snapshot ") + frame.defect,
+                path);
   }
-  std::vector<std::uint8_t> bytes;
-  try {
-    bytes = read_whole_file(fd, path);
-  } catch (...) {
-    ::close(fd);
-    throw;
+  if (frame.end != bytes->size()) {
+    throw Error("core::checkpoint", "snapshot has trailing bytes", path);
   }
-  ::close(fd);
-
-  if (bytes.size() < kSnapshotHeaderSize) {
-    throw Error("core::checkpoint", "snapshot truncated (header)", path);
-  }
-  const std::uint8_t* head = bytes.data();
-  if (std::memcmp(head, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
-    throw Error("core::checkpoint", "bad snapshot magic", path);
-  }
-  if (crc32(head, kSnapshotHeaderSize - 4) != load_u32(head + 28)) {
-    throw Error("core::checkpoint", "snapshot header CRC mismatch", path);
-  }
-  const std::uint32_t file_kind = load_u32(head + 8);
-  if (file_kind != kind) {
+  if (static_cast<std::uint32_t>(frame.key) != kind) {
     throw Error("core::checkpoint", "snapshot belongs to another stream",
                 path);
   }
-  const std::uint32_t version = load_u32(head + 12);
+  const auto version = static_cast<std::uint32_t>(frame.key >> 32);
   if (version > max_version) {
     throw Error("core::checkpoint", "snapshot version too new", path);
   }
-  const std::uint64_t size = load_u64(head + 16);
-  if (bytes.size() - kSnapshotHeaderSize != size) {
-    throw Error("core::checkpoint", "snapshot truncated (payload)", path);
-  }
-  const std::uint8_t* payload = head + kSnapshotHeaderSize;
-  if (crc32(payload, static_cast<std::size_t>(size)) != load_u32(head + 24)) {
-    throw Error("core::checkpoint", "snapshot payload CRC mismatch", path);
-  }
   return SnapshotReader(
-      std::vector<std::uint8_t>(payload, payload + size), version);
+      std::vector<std::uint8_t>(frame.payload, frame.payload + frame.size),
+      version);
 }
 
 std::uint8_t SnapshotReader::get_u8() {
@@ -335,7 +169,7 @@ std::uint32_t SnapshotReader::get_u32() {
   if (remaining() < 4) {
     throw Error("core::checkpoint", "snapshot payload overrun");
   }
-  const std::uint32_t value = load_u32(bytes_.data() + cursor_);
+  const std::uint32_t value = record_frame::load_u32(bytes_.data() + cursor_);
   cursor_ += 4;
   return value;
 }
@@ -344,7 +178,7 @@ std::uint64_t SnapshotReader::get_u64() {
   if (remaining() < 8) {
     throw Error("core::checkpoint", "snapshot payload overrun");
   }
-  const std::uint64_t value = load_u64(bytes_.data() + cursor_);
+  const std::uint64_t value = record_frame::load_u64(bytes_.data() + cursor_);
   cursor_ += 8;
   return value;
 }
@@ -384,11 +218,11 @@ RunJournal::RunJournal(const std::string& path, std::uint32_t kind)
     throw Error("core::checkpoint", "cannot open journal",
                 path + ": " + std::strerror(errno));
   }
-  std::vector<std::uint8_t> bytes;
   try {
-    bytes = read_whole_file(fd_, path);
-    std::size_t valid_end = 0;
-    recovered_ = scan_journal(bytes, kind, path, &valid_end, &skipped_);
+    const std::vector<std::uint8_t> bytes =
+        record_frame::read_from(fd_, 0, path);
+    const std::size_t valid_end =
+        scan_journal(bytes, kind, path, &recovered_, &skipped_);
     // Truncate the torn tail (if any) so new records append cleanly after
     // the last durable one.
     if (valid_end != bytes.size() && ::ftruncate(fd_, static_cast<off_t>(valid_end)) != 0) {
@@ -442,15 +276,9 @@ void RunJournal::append(const void* data, std::size_t size) {
   if (fd_ < 0) {
     throw Error("core::checkpoint", "append on closed journal", path_);
   }
-  std::array<std::uint8_t, kJournalHeaderSize> header{};
-  store_u32(header.data(), kJournalMagic);
-  store_u32(header.data() + 4, kind_);
-  store_u64(header.data() + 8, next_seq_);
-  store_u64(header.data() + 16, size);
-  store_u32(header.data() + 24, crc32(data, size));
-  store_u32(header.data() + 28, crc32(header.data(), kJournalHeaderSize - 4));
-  write_all("journal/write", fd_, header.data(), header.size(), path_);
-  write_all("journal/write", fd_, data, size, path_);
+  const record_frame::Header header = record_frame::encode_header(
+      kJournalMagic.value | std::uint64_t{kind_} << 32, next_seq_, data, size);
+  record_frame::write_frame("journal/write", fd_, header, data, size, path_);
   if (failpoint::checked_fsync("journal/fsync", fd_) != 0) {
     throw Error("core::checkpoint", "journal fsync failed",
                 path_ + ": " + std::strerror(errno));
@@ -469,26 +297,10 @@ void RunJournal::close() {
 std::vector<JournalRecord> RunJournal::replay(const std::string& path,
                                               std::uint32_t kind,
                                               std::size_t* skipped_records) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) {
-      if (skipped_records != nullptr) *skipped_records = 0;
-      return {};
-    }
-    throw Error("core::checkpoint", "cannot open journal",
-                path + ": " + std::strerror(errno));
-  }
-  std::vector<std::uint8_t> bytes;
-  try {
-    bytes = read_whole_file(fd, path);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
-  std::size_t valid_end = 0;
+  const auto bytes = read_file(path, "journal");
+  std::vector<JournalRecord> records;
   std::size_t skipped = 0;
-  auto records = scan_journal(bytes, kind, path, &valid_end, &skipped);
+  if (bytes) scan_journal(*bytes, kind, path, &records, &skipped);
   if (skipped_records != nullptr) *skipped_records = skipped;
   return records;
 }

@@ -16,10 +16,11 @@
 //     *mid-file* (bit-flip) is skipped and counted rather than silently
 //     discarding everything after it.
 //
-// All integers are serialized little-endian byte-by-byte, so snapshots and
-// journals are portable across compilers and architectures. Corruption
-// (bad magic, CRC mismatch, truncated payload, wrong version) is reported
-// as core::Error -- a corrupt snapshot must never be silently accepted.
+// Both are written as core/record_frame frames (one 32-byte CRC-guarded
+// header layout, little-endian, shared with core/result_store), so they are
+// portable across compilers and architectures. Corruption (bad magic, CRC
+// mismatch, truncated payload, wrong version) is reported as core::Error --
+// a corrupt snapshot must never be silently accepted.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +29,9 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/record_frame.hpp"
 
 namespace icsc::core {
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte span.
-std::uint32_t crc32(const void* data, std::size_t size,
-                    std::uint32_t crc = 0);
 
 /// Append-only binary serializer: fixed-width little-endian fields.
 class SnapshotWriter {
@@ -118,8 +116,9 @@ class RunJournal {
 
   /// Opens (creating if absent) `path` for stream `kind`. Records already
   /// present with a matching kind are exposed via recovered(); a corrupt
-  /// or torn tail is truncated. A first record of a different kind throws
-  /// core::Error (the file belongs to another experiment).
+  /// or torn tail is truncated. Any valid record of a different kind
+  /// throws core::Error before anything is truncated (the file belongs to
+  /// another experiment).
   RunJournal(const std::string& path, std::uint32_t kind);
 
   RunJournal(const RunJournal&) = delete;
@@ -162,7 +161,7 @@ class RunJournal {
   /// Read-only replay of `path`: every valid record for `kind`, skipping
   /// (and counting into `*skipped_records`, when non-null) corrupt
   /// mid-file records, up to the torn tail. Missing file yields an empty
-  /// vector; a first record of the wrong kind throws core::Error.
+  /// vector; any valid record of the wrong kind throws core::Error.
   static std::vector<JournalRecord> replay(
       const std::string& path, std::uint32_t kind,
       std::size_t* skipped_records = nullptr);

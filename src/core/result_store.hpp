@@ -8,15 +8,15 @@
 // service instance on the same scratch volume -- costs ~zero.
 //
 // On-disk format: one file `store.log` under the store directory, a
-// sequence of frames
+// sequence of core/record_frame frames (the one layout shared with
+// snapshots and journals; see core/record_frame.hpp)
 //
 //   u32 magic "RST1" | u32 schema_version | u64 fingerprint |
 //   u64 payload_size | u32 payload_crc | u32 header_crc | payload
 //
-// (all little-endian, same codec as core/checkpoint). Appends are
-// frame-at-a-time + fsync under an exclusive flock on `store.lock`, so
-// concurrent writers -- threads or whole processes -- never interleave
-// frames.
+// Appends are frame-at-a-time + fsync under an exclusive flock on
+// `store.lock`, so concurrent writers -- threads or whole processes --
+// never interleave frames.
 //
 // Robustness contract, enforced by the failpoint torture suite:
 //   * Recovery from any crash point: opening scans the log, indexes every
@@ -141,8 +141,6 @@ class ResultStore {
   };
 
   void open_and_recover();
-  void scan_locked(const std::vector<std::uint8_t>& bytes,
-                   std::uint64_t base_offset);
   void append_frame_locked(std::uint64_t fingerprint,
                            std::uint32_t schema_version, const void* data,
                            std::size_t size);

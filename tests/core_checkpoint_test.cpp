@@ -330,6 +330,26 @@ TEST_F(CheckpointTest, JournalFromAnotherStreamIsRejected) {
   }
   EXPECT_THROW(RunJournal::replay(path("run.jnl"), kOtherKind), Error);
   EXPECT_THROW(RunJournal(path("run.jnl"), kOtherKind), Error);
+
+  // A damaged first record must not hide the stream: the intact records
+  // after it still identify the file as another stream's, and nothing is
+  // truncated.
+  std::size_t first_record_end = 0;
+  {
+    RunJournal journal(path("damaged.jnl"), kKind);
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      SnapshotWriter record;
+      record.put_u64(i);
+      journal.append(record);
+      if (i == 0) first_record_end = slurp(path("damaged.jnl")).size();
+    }
+  }
+  auto bytes = slurp(path("damaged.jnl"));
+  bytes[first_record_end - 1] ^= 0x01;  // first record's payload
+  spew(path("damaged.jnl"), bytes);
+  EXPECT_THROW(RunJournal::replay(path("damaged.jnl"), kOtherKind), Error);
+  EXPECT_THROW(RunJournal(path("damaged.jnl"), kOtherKind), Error);
+  EXPECT_EQ(slurp(path("damaged.jnl")), bytes);
 }
 
 TEST_F(CheckpointTest, MissingJournalReplaysEmpty) {
