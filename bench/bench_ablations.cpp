@@ -2,10 +2,11 @@
 // all five thrusts:
 //   - Sec. III: loop pipelining vs sequential schedules; Bambu vs Vitis
 //     tool profiles on the same kernel,
-//   - Sec. IV: MLC level counts vs programming scheme; bit-sliced weight
-//     mapping; digital drift compensation on/off,
+//   - Sec. IV: MLC level counts vs programming scheme; digital drift
+//     compensation on/off,
 //   - Sec. V: approximate multiplier/adder choices inside a convolution
-//     datapath (quality vs energy),
+//     datapath (quality vs energy); the approximate softmax inside the
+//     Sec. VII bf16 transformer block,
 //   - Sec. VI: outer erasure code (XOR parity + CRC-8 inner code) on/off
 //     at low sequencing coverage,
 //   - Sec. VII: heterogeneous tensor/vector CU mixes at fixed CU count.
@@ -15,6 +16,7 @@
 #include <cstdio>
 
 #include "approx/approx_conv.hpp"
+#include "approx/softmax.hpp"
 #include "core/table.hpp"
 #include "hetero/dna/cluster.hpp"
 #include "hetero/dna/ecc.hpp"
@@ -23,6 +25,7 @@
 #include "hls/tool_profile.hpp"
 #include "imc/mlc.hpp"
 #include "scf/hetero_fabric.hpp"
+#include "scf/transformer.hpp"
 
 namespace {
 
@@ -192,6 +195,52 @@ void print_approx_ablation() {
   std::printf("%s", t.to_string().c_str());
 }
 
+void print_softmax_ablation() {
+  std::printf("\n=== Sec. V ablation: approximate softmax ([18]) ===\n");
+  core::TextTable st({"width", "mean max |err|", "worst max |err|",
+                      "argmax kept"});
+  for (const int width : {8, 32, 128}) {
+    const auto sweep = approx::sweep_softmax(width, 2000, 6.0, 13);
+    st.add_row({std::to_string(width),
+                core::TextTable::num(sweep.mean_max_abs_error, 4),
+                core::TextTable::num(sweep.worst_max_abs_error, 4),
+                core::TextTable::num(100.0 * sweep.argmax_preservation_rate,
+                                     1) + "%"});
+  }
+  std::printf("%s", st.to_string().c_str());
+
+  std::printf("\n=== Sec. V x VII: approximate softmax inside the bf16 "
+              "transformer block ===\n");
+  scf::TransformerConfig config;
+  config.seq_len = 32;
+  config.d_model = 64;
+  config.heads = 4;
+  config.d_ff = 128;
+  const auto x = scf::make_activations(config, 5);
+  const auto y_exact = scf::TransformerBlock(config).forward(x);
+  core::TextTable bt({"attention softmax", "max |dy| vs exact block",
+                      "mean |dy|"});
+  for (const auto& [name, fn] :
+       {std::pair<const char*, scf::TransformerConfig::SoftmaxFn>{
+            "pow2 + exact divide", &approx::softmax_approx_exact_norm},
+        {"pow2 + shift normalise (full [18])",
+         +[](std::span<const float> logits) {
+           return approx::softmax_approx(logits);
+         }}}) {
+    scf::TransformerConfig approx_config = config;
+    approx_config.softmax_override = fn;
+    const auto y = scf::TransformerBlock(approx_config).forward(x);
+    double sum_abs = 0.0;
+    for (std::size_t i = 0; i < y.numel(); ++i) {
+      sum_abs += std::abs(static_cast<double>(y[i]) - y_exact[i]);
+    }
+    bt.add_row({name, core::TextTable::num(scf::max_abs_diff(y_exact, y), 4),
+                core::TextTable::num(sum_abs / static_cast<double>(y.numel()),
+                                     4)});
+  }
+  std::printf("%s", bt.to_string().c_str());
+}
+
 void print_dna_ablation() {
   std::printf("\n=== Sec. VI ablation: outer erasure code at low coverage ===\n");
   core::TextTable t({"coverage", "plain byte err", "ECC byte err",
@@ -279,6 +328,7 @@ int main(int argc, char** argv) {
   print_hls_ablation();
   print_imc_ablation();
   print_approx_ablation();
+  print_softmax_ablation();
   print_dna_ablation();
   print_scf_ablation();
   return 0;

@@ -1,7 +1,8 @@
 // Reproduces the Sec. IV accuracy experiments: DNN accuracy on analog IMC
 // crossbars under device non-idealities -- programming scheme (the [10]
 // program-and-verify study), PCM conductance drift over time, ADC
-// resolution -- for both RRAM and PCM devices.
+// resolution -- for both RRAM and PCM devices -- and the fidelity of a
+// convolution layer lowered onto crossbar tiles by im2col.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include "core/sampling.hpp"
 #include "core/table.hpp"
 #include "imc/characterization.hpp"
+#include "imc/conv_mapping.hpp"
 #include "imc/noise_training.hpp"
 #include "imc/pipeline.hpp"
 #include "imc/program_verify.hpp"
@@ -124,6 +126,41 @@ void print_tables() {
   std::printf("%s", bt.to_string().c_str());
 }
 
+// Sec. IV "mapping of the DNN coefficients ... into the various tiles": a
+// 3x3 conv layer lowered by im2col onto 16x16 tiles, its analog output
+// compared with the exact convolution as the devices drift.
+void print_conv_mapping_table() {
+  core::Rng rng(11);
+  core::TensorF weights({8, 4, 3, 3});
+  for (auto& v : weights.data()) v = static_cast<float>(rng.normal(0.0, 0.3));
+  TileConfig base;
+  base.tile_rows = 16;
+  base.tile_cols = 16;
+  std::printf("\n=== Conv layer on crossbar tiles: output RMSE vs exact conv "
+              "(im2col, [8,4,3,3] -> %zu tiles of 16x16, 12x12 input) ===\n",
+              CrossbarConv(weights, base).tile_count());
+  core::TextTable t({"time after programming", "RRAM single pulse",
+                     "RRAM program-and-verify", "PCM single pulse",
+                     "PCM program-and-verify"});
+  for (const auto& [label, seconds] :
+       {std::pair{"1 second", 1.0}, {"1 day", 86400.0}, {"1 month", 2.6e6},
+        {"1 year", 3.15e7}}) {
+    std::vector<std::string> row{label};
+    for (const auto& spec : {rram_spec(), pcm_spec()}) {
+      for (const auto scheme :
+           {ProgramScheme::kSinglePulse, ProgramScheme::kVerify}) {
+        TileConfig config = base;
+        config.crossbar.device = spec;
+        config.crossbar.programming.scheme = scheme;
+        row.push_back(core::TextTable::num(
+            crossbar_conv_rmse(weights, config, 12, 12, seconds, 13), 4));
+      }
+    }
+    t.add_row(row);
+  }
+  std::printf("%s", t.to_string().c_str());
+}
+
 // --early-stop: sequential (CI-driven) device Monte-Carlo instead of the
 // fixed-population tables. Each study is run twice over the same
 // hash-derived cell streams -- early-stopped and exhaustively -- so the
@@ -202,5 +239,6 @@ int main(int argc, char** argv) {
     return 0;
   }
   print_tables();
+  print_conv_mapping_table();
   return 0;
 }

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "approx/conv_kernels.hpp"
 #include "core/aligned.hpp"
+#include "core/error.hpp"
 #include "core/parallel.hpp"
 #include "core/simd.hpp"
 #include "core/trace.hpp"
@@ -15,6 +16,18 @@
 namespace icsc::approx {
 
 namespace {
+
+/// Entry check of every layer apply: `input` must be a [Cin, H, W] map
+/// with the layer's channel count. Throws core::Error otherwise.
+void check_feature_map(const char* where, const FeatureMap& input,
+                       std::size_t in_channels) {
+  if (input.rank() != 3 || input.dim(0) != in_channels) {
+    throw core::Error(where,
+                      "input must be [Cin, H, W] with Cin = " +
+                          std::to_string(in_channels),
+                      "got shape " + core::shape_to_string(input.shape()));
+  }
+}
 
 float quantize_runtime(float v, int int_bits, int frac_bits) {
   const double scale = static_cast<double>(std::int64_t{1} << frac_bits);
@@ -105,8 +118,7 @@ void book_conv_macs(std::size_t cout, std::size_t h, std::size_t w,
 FeatureMap ConvLayer::apply(const FeatureMap& input, const QuantConfig& config,
                             core::OpCounter* ops) const {
   ICSC_TRACE_SPAN("conv/apply");
-  assert(input.rank() == 3);
-  assert(input.dim(0) == in_channels());
+  check_feature_map("approx::ConvLayer::apply", input, in_channels());
   const std::size_t cin = in_channels();
   const std::size_t cout = out_channels();
   const std::size_t h = input.dim(1);
@@ -157,8 +169,8 @@ FeatureMap ConvLayer::apply_reference(const FeatureMap& input,
                                       const QuantConfig& config,
                                       core::OpCounter* ops) const {
   ICSC_TRACE_SPAN("conv/apply_reference");
-  assert(input.rank() == 3);
-  assert(input.dim(0) == in_channels());
+  check_feature_map("approx::ConvLayer::apply_reference", input,
+                    in_channels());
   const std::size_t cin = in_channels();
   const std::size_t cout = out_channels();
   const std::size_t h = input.dim(1);
@@ -424,9 +436,8 @@ core::Image TconvLayer::apply_foveated(const FeatureMap& input,
                                        const QuantConfig& config,
                                        core::OpCounter* ops) const {
   ICSC_TRACE_SPAN("htconv/apply_foveated");
-  assert(input.rank() == 3);
-  assert(input.dim(0) == in_channels());
-  assert(kernel() % 2 == 1 && "centred kernels must be odd-sized");
+  check_feature_map("approx::TconvLayer::apply_foveated", input,
+                    in_channels());
   const std::size_t h = input.dim(1);
   const std::size_t w = input.dim(2);
   const std::size_t t = kernel();
@@ -554,9 +565,8 @@ core::Image TconvLayer::apply_foveated_reference(const FeatureMap& input,
                                                  const QuantConfig& config,
                                                  core::OpCounter* ops) const {
   ICSC_TRACE_SPAN("htconv/apply_foveated_reference");
-  assert(input.rank() == 3);
-  assert(input.dim(0) == in_channels());
-  assert(kernel() % 2 == 1 && "centred kernels must be odd-sized");
+  check_feature_map("approx::TconvLayer::apply_foveated_reference", input,
+                    in_channels());
   const std::size_t h = input.dim(1);
   const std::size_t w = input.dim(2);
   const std::size_t t = kernel();

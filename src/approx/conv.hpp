@@ -38,7 +38,8 @@ void quantize_map(FeatureMap& map, const QuantConfig& config);
 
 /// Standard 2-D convolution layer: weights [Cout, Cin, k, k], zero padding
 /// "same", stride 1, optional ReLU. MACs counted as k*k*Cin per output
-/// element (the dense MAC-array loop the FPGA engine executes).
+/// element (the dense MAC-array loop the FPGA engine executes). Both apply
+/// paths throw core::Error unless the input is [Cin, H, W].
 struct ConvLayer {
   core::TensorF weights;      // [Cout, Cin, k, k]
   std::vector<float> bias;    // [Cout]
@@ -83,7 +84,8 @@ struct FovealRegion {
 
 /// Transposed-convolution (stride 2) layer producing a single output
 /// channel from weights [Cin, t, t], evaluated via the zero-insertion
-/// formulation of Fig. 3 with a centred kernel.
+/// formulation of Fig. 3 with a centred kernel. The foveated paths throw
+/// core::Error unless the input is [Cin, H, W].
 struct TconvLayer {
   core::TensorF weights;  // [Cin, t, t]
   float bias = 0.0F;

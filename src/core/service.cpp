@@ -747,7 +747,9 @@ void CampaignService::run_group(std::vector<std::shared_ptr<Job>> group) {
   // Finalise every member only after *all* bodies ran: the canonical
   // gather/scatter adapter writes member results during the last body, so
   // finalising earlier members as kDone before that pass would let a
-  // poller read an unfilled result slot.
+  // poller read an unfilled result slot. The spent bodies (and whatever
+  // they captured) are released first, outside the service mutex.
+  for (const auto& job : live) job->body = nullptr;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     // One timestamp for the group: every member's result lands with the
@@ -796,6 +798,9 @@ void CampaignService::finalize_locked(const std::shared_ptr<Job>& job,
   job->state = state;
   job->ended = true;
   job->end_time = end_time;
+  // No body runs once a job is here (run_group released its own already):
+  // drop the closure so jobs_ retains only the status record.
+  job->body = nullptr;
   switch (state) {
     case JobState::kDone:
       ++totals_.completed;

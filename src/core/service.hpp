@@ -230,6 +230,11 @@ struct JobRequest {
   double cost_estimate_seconds = 0.0;
   /// Opt out of degradation: the job always runs at kFull tier.
   bool allow_degrade = true;
+  /// Released (with its captures) as soon as the job is terminal, on every
+  /// path: done, failed, cancelled, shed or watchdog-killed. Only the
+  /// status record outlives it. A body that never ran is released under
+  /// the service mutex, so its captures' destructors must not call back
+  /// into the service.
   std::function<void(JobContext&)> body;
 };
 

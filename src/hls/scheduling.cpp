@@ -5,7 +5,10 @@
 #include <functional>
 #include <limits>
 #include <queue>
+#include <string>
 #include <utility>
+
+#include "core/error.hpp"
 
 namespace icsc::hls {
 
@@ -36,7 +39,12 @@ Schedule schedule_asap(const Kernel& kernel) {
 }
 
 Schedule schedule_alap(const Kernel& kernel, int deadline) {
-  assert(deadline >= kernel.critical_path());
+  if (deadline < kernel.critical_path()) {
+    throw core::Error("hls::schedule_alap", "deadline below the critical path",
+                      "deadline " + std::to_string(deadline) +
+                          ", critical path " +
+                          std::to_string(kernel.critical_path()));
+  }
   Schedule s;
   const std::size_t n = kernel.size();
   // finish-by constraint propagated backwards.

@@ -32,7 +32,8 @@ struct Schedule {
 /// Dependence-only as-soon-as-possible schedule.
 Schedule schedule_asap(const Kernel& kernel);
 
-/// As-late-as-possible against `deadline` (must be >= critical path).
+/// As-late-as-possible against `deadline`. Throws core::Error when the
+/// deadline is below the critical path (start cycles would go negative).
 Schedule schedule_alap(const Kernel& kernel, int deadline);
 
 /// Per-op mobility = ALAP start - ASAP start, with ALAP at the critical

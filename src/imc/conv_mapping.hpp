@@ -36,8 +36,6 @@ public:
   std::size_t kernel() const { return kernel_; }
   std::size_t tile_count() const { return matvec_->tile_count(); }
   double total_energy_pj() const { return matvec_->total_energy_pj(); }
-  /// Aggregated fault/repair census of the underlying tiles.
-  CrossbarHealth health() const { return matvec_->health(); }
 
   /// Exact reference (software) for accuracy comparisons.
   static core::TensorF reference_forward(const core::TensorF& weights,
@@ -49,7 +47,8 @@ private:
 };
 
 /// RMSE between the analog and the exact convolution output over a random
-/// input (the conv-mapping fidelity probe used by tests and benches).
+/// input (the conv-mapping fidelity probe behind bench_imc_accuracy's
+/// conv-on-tiles table).
 double crossbar_conv_rmse(const core::TensorF& weights,
                           const TileConfig& config, std::size_t height,
                           std::size_t width, double t_seconds,

@@ -31,6 +31,9 @@ struct DimcConfig {
 /// Exact quantised matvec as executed by a DIMC macro: weights and inputs
 /// are uniformly quantised to the configured widths, the arithmetic is
 /// bit-true integer, and the result is returned de-quantised.
+///
+/// Error contract: the constructor throws icsc::core::Error unless
+/// `weights` is rank 2; matvec() throws when x.size() != in.
 class DimcMacro {
 public:
   DimcMacro(const core::TensorF& weights, const DimcConfig& config);

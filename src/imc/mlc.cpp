@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/error.hpp"
 #include "core/nn.hpp"
 #include "imc/pipeline.hpp"
 
@@ -46,7 +47,12 @@ BitSlicedCrossbar::BitSlicedCrossbar(const core::TensorF& weights,
                                      const CrossbarConfig& config, int slices,
                                      int bits_per_slice)
     : out_dim_(weights.dim(0)) {
-  assert(slices >= 1 && bits_per_slice >= 1);
+  if (slices < 1 || bits_per_slice < 1) {
+    throw core::Error("imc::BitSlicedCrossbar",
+                      "slices and bits_per_slice must be >= 1",
+                      "got " + std::to_string(slices) + " x " +
+                          std::to_string(bits_per_slice));
+  }
   float w_max = 0.0F;
   for (const float w : weights.data()) w_max = std::max(w_max, std::abs(w));
   if (w_max == 0.0F) w_max = 1.0F;

@@ -47,7 +47,8 @@ int reliable_levels(const DeviceSpec& spec, const ProgramVerifyConfig& config,
 /// crossbars, each storing `bits_per_slice` bits of the weight magnitude
 /// on an MLC grid of 2^bits_per_slice levels; the digital periphery
 /// recombines slice outputs with power-of-two weights. This trades array
-/// count for per-cell precision requirements.
+/// count for per-cell precision requirements. The constructor throws
+/// icsc::core::Error unless slices >= 1 and bits_per_slice >= 1.
 class BitSlicedCrossbar {
 public:
   BitSlicedCrossbar(const core::TensorF& weights, const CrossbarConfig& config,

@@ -186,7 +186,12 @@ core::TensorF TransformerBlock::forward(const core::TensorF& input,
   const std::size_t h = config_.heads;
   const std::size_t dh = config_.d_head();
   const bool bf16 = config_.use_bf16;
-  assert(input.dim(0) == s && input.dim(1) == d);
+  if (input.rank() != 2 || input.dim(0) != s || input.dim(1) != d) {
+    throw core::Error("scf::TransformerBlock::forward",
+                      "input must be [seq_len, d_model] = [" +
+                          std::to_string(s) + ", " + std::to_string(d) + "]",
+                      "got shape " + core::shape_to_string(input.shape()));
+  }
 
   core::TensorF x = input;
   round_tensor_bf16(x, bf16);

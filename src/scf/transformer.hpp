@@ -60,7 +60,8 @@ public:
   explicit TransformerBlock(const TransformerConfig& config);
 
   /// Runs the block on input [seq_len, d_model]; returns same shape.
-  /// Appends every kernel invocation to `trace` when non-null.
+  /// Appends every kernel invocation to `trace` when non-null. Throws
+  /// core::Error when the input has another shape.
   core::TensorF forward(const core::TensorF& input,
                         std::vector<KernelCall>* trace = nullptr) const;
 

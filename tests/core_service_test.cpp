@@ -10,8 +10,10 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -503,6 +505,66 @@ TEST_F(ServiceTest, WatchdogKillsStuckJobAndJournalsCheckpoint) {
   EXPECT_EQ(events[0].kind, ServiceEventKind::kWatchdogKill);
   EXPECT_EQ(events[0].id, outcome.id);
   EXPECT_EQ(events[0].checkpoint_path, status.checkpoint_path);
+}
+
+TEST_F(ServiceTest, TerminalJobsReleaseTheirBodies) {
+  // jobs_ keeps every Job for the service lifetime, but a terminal job must
+  // not keep its body's captures alive. One sentinel per terminal path.
+  ServiceConfig config;
+  config.workers = 1;
+  config.shed_doomed = true;
+  config.watchdog_timeout_seconds = 0.05;
+  config.watchdog_poll_seconds = 0.005;
+  CampaignService service(config);
+  std::vector<std::weak_ptr<int>> sentinels;
+  const auto submit = [&](std::function<void(JobContext&)> work,
+                          double cost = 0.0,
+                          Deadline deadline = Deadline::never()) {
+    auto sentinel = std::make_shared<int>(0);
+    sentinels.push_back(sentinel);
+    JobRequest request;
+    request.cost_estimate_seconds = cost;
+    request.deadline = deadline;
+    request.body = [sentinel = std::move(sentinel),
+                    work = std::move(work)](JobContext& ctx) { work(ctx); };
+    const SubmitOutcome outcome = service.submit(std::move(request));
+    EXPECT_TRUE(outcome.admitted);
+    return outcome.id;
+  };
+
+  const JobId done = submit([](JobContext&) {});
+  const JobId failed =
+      submit([](JobContext&) { throw std::runtime_error("boom"); });
+  auto gate = std::make_shared<Gate>();
+  const JobId running =
+      submit([gate](JobContext& ctx) { gate->wait_open(ctx); });
+  const auto start = std::chrono::steady_clock::now();
+  while (service.poll(running).state != JobState::kRunning &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(10)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const JobId queued = submit([](JobContext&) {});
+  const JobId shed = submit([](JobContext&) {}, 100.0, Deadline::after(0.5));
+  EXPECT_TRUE(service.cancel(queued));
+  EXPECT_TRUE(service.cancel(running));
+  const JobId stuck = submit([](JobContext& ctx) {
+    ctx.heartbeat();
+    while (!ctx.cancelled()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  service.drain();
+
+  EXPECT_EQ(service.poll(done).state, JobState::kDone);
+  EXPECT_EQ(service.poll(failed).state, JobState::kFailed);
+  EXPECT_EQ(service.poll(running).state, JobState::kCancelled);
+  EXPECT_EQ(service.poll(queued).state, JobState::kCancelled);
+  EXPECT_EQ(service.poll(shed).state, JobState::kExpired);
+  EXPECT_EQ(service.poll(stuck).state, JobState::kWatchdogKilled);
+  ASSERT_EQ(sentinels.size(), 6u);
+  for (std::size_t i = 0; i < sentinels.size(); ++i) {
+    EXPECT_TRUE(sentinels[i].expired()) << "job " << i << " kept its body";
+  }
 }
 
 TEST_F(ServiceTest, HealthyHeartbeatingJobSurvivesWatchdog) {

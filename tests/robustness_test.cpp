@@ -25,9 +25,12 @@
 #include "hls/scheduling.hpp"
 #include "imc/conv_mapping.hpp"
 #include "imc/crossbar.hpp"
+#include "imc/dimc.hpp"
+#include "imc/mlc.hpp"
 #include "scf/compute_unit.hpp"
 #include "scf/fabric.hpp"
 #include "scf/hetero_fabric.hpp"
+#include "scf/transformer.hpp"
 
 namespace {
 
@@ -659,6 +662,40 @@ TEST(Robustness, TensorShapeMismatchesThrowStructuredErrors) {
     EXPECT_EQ(e.where(), "core::matmul");
     EXPECT_NE(std::string(e.what()).find("[2, 3]"), std::string::npos);
   }
+
+  // Layer and block entry points check the shape once on entry; Release
+  // builds would otherwise index past the input.
+  approx::ConvLayer conv;
+  conv.weights = core::TensorF({2, 3, 3, 3}, 0.1F);
+  const approx::QuantConfig quant;
+  const core::TensorF four_channels({4, 5, 5}, 1.0F);
+  const core::TensorF flat({3, 25}, 1.0F);
+  for (const auto* input : {&four_channels, &flat}) {
+    EXPECT_THROW(conv.apply(*input, quant), core::Error);
+    EXPECT_THROW(conv.apply_reference(*input, quant), core::Error);
+  }
+  approx::TconvLayer tconv;
+  tconv.weights = core::TensorF({3, 5, 5}, 0.1F);
+  const auto fovea = approx::FovealRegion::full(5, 5);
+  for (const auto* input : {&four_channels, &flat}) {
+    EXPECT_THROW(tconv.apply_foveated(*input, fovea, quant), core::Error);
+    EXPECT_THROW(tconv.apply_foveated_reference(*input, fovea, quant),
+                 core::Error);
+  }
+
+  scf::TransformerConfig block_config;
+  block_config.seq_len = 4;
+  block_config.d_model = 8;
+  block_config.heads = 2;
+  block_config.d_ff = 16;
+  const scf::TransformerBlock block(block_config);
+  EXPECT_THROW(block.forward(core::TensorF({4, 9}, 0.5F)), core::Error);
+  EXPECT_THROW(block.forward(core::TensorF({32}, 0.5F)), core::Error);
+
+  // An ALAP deadline below the critical path would give negative starts.
+  const auto fir = hls::make_fir_kernel(8);
+  EXPECT_THROW(hls::schedule_alap(fir, fir.critical_path() - 1), core::Error);
+  EXPECT_NO_THROW(hls::schedule_alap(fir, fir.critical_path()));
 }
 
 TEST(Robustness, GraphValidationThrows) {
@@ -683,6 +720,16 @@ TEST(Robustness, ImcValidationThrows) {
   imc::Crossbar xbar(w, imc::CrossbarConfig{});
   const std::vector<float> wrong(3, 1.0F);
   EXPECT_THROW(xbar.matvec(std::span<const float>(wrong)), core::Error);
+
+  EXPECT_THROW(imc::DimcMacro(core::TensorF({4}), imc::DimcConfig{}),
+               core::Error);
+  imc::DimcMacro dimc(w, imc::DimcConfig{});
+  const std::vector<float> long_input(5, 1.0F);
+  EXPECT_THROW(dimc.matvec(long_input), core::Error);
+  EXPECT_THROW(imc::BitSlicedCrossbar(w, imc::CrossbarConfig{}, 0, 4),
+               core::Error);
+  EXPECT_THROW(imc::BitSlicedCrossbar(w, imc::CrossbarConfig{}, 2, 0),
+               core::Error);
 }
 
 }  // namespace
