@@ -5,6 +5,18 @@
 // it per push). The JSON records the active SIMD ISA and the detected CPU
 // features so numbers from different machines are comparable.
 //
+// Rows (new path vs retained old path):
+//   dse_exhaustive            memoized sweep vs uncached sweep
+//   conv3x3_fixed_point       ConvLayer::apply vs apply_reference
+//   approx_conv_truncated_loa apply_approx vs apply_approx_reference
+//   htconv_foveated           apply_foveated vs apply_foveated_reference
+//   dna_cluster_reads         cluster_reads (length + q-gram screens against
+//                             the threshold, banded Myers on survivors) vs
+//                             cluster_reads_reference (full DP per pair);
+//                             clusters, representatives and pair counts
+//                             must match
+//   imc_crossbar_mvm          matvec_raw_batch vs matvec_raw_reference
+//
 // All measurements run serially (core::ScopedSerial) so the numbers isolate
 // the single-thread micro-kernel work from thread-pool scaling, which
 // bench_hls_dse / bench_fig6_dna already cover. Usage:
@@ -268,7 +280,10 @@ bool clusters_identical(const hetero::dna::ClusterResult& a,
     return false;
   }
   for (std::size_t c = 0; c < a.clusters.size(); ++c) {
-    if (a.clusters[c].read_indices != b.clusters[c].read_indices) return false;
+    if (a.clusters[c].read_indices != b.clusters[c].read_indices ||
+        a.clusters[c].representative != b.clusters[c].representative) {
+      return false;
+    }
   }
   return true;
 }
@@ -286,21 +301,20 @@ KernelRow bench_dna(int reps) {
   channel.seed = 42;
   const auto reads = dna::simulate_channel(strands, channel);
 
-  dna::ClusterParams banded;
-  banded.kernel = dna::DistanceKernel::kBandedDp;
-  dna::ClusterParams screened = banded;
-  screened.kernel = dna::DistanceKernel::kScreenedMyers;
+  const dna::ClusterParams params;
 
   KernelRow row;
   row.name = "dna_cluster_reads";
-  const auto old_result = dna::cluster_reads(reads.reads, banded);
-  const auto new_result = dna::cluster_reads(reads.reads, screened);
+  const auto old_result =
+      dna::cluster_reads_reference(reads.reads, params.distance_threshold);
+  const auto new_result = dna::cluster_reads(reads.reads, params);
   row.identical = clusters_identical(old_result, new_result);
   row.old_ms = best_ms(reps, [&] {
-    benchmark_keep(dna::cluster_reads(reads.reads, banded));
+    benchmark_keep(
+        dna::cluster_reads_reference(reads.reads, params.distance_threshold));
   });
   row.new_ms = best_ms(reps, [&] {
-    benchmark_keep(dna::cluster_reads(reads.reads, screened));
+    benchmark_keep(dna::cluster_reads(reads.reads, params));
   });
   row.extra_json =
       ",\"reads\":" + core::json_num(std::uint64_t{reads.reads.size()}) +

@@ -427,6 +427,8 @@ void tconv_phase_row(const FeatureMap& input, const core::TensorF& k_weights,
 core::Image TconvLayer::apply_exact(const FeatureMap& input,
                                     const QuantConfig& config,
                                     core::OpCounter* ops) const {
+  // Checked here too: the full fovea reads dim(1) and dim(2).
+  check_feature_map("approx::TconvLayer::apply_exact", input, in_channels());
   return apply_foveated(input, FovealRegion::full(input.dim(1), input.dim(2)),
                         config, ops);
 }

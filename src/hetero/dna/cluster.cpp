@@ -6,7 +6,6 @@
 
 #include "core/parallel.hpp"
 #include "core/trace.hpp"
-#include "hetero/dna/greedy_scan.hpp"
 #include "hetero/dna/prefilter.hpp"
 
 namespace icsc::hetero::dna {
@@ -15,66 +14,53 @@ namespace {
 
 constexpr std::size_t kNoMatch = std::numeric_limits<std::size_t>::max();
 
-/// Candidates screened per banded-Myers batch on the Myers path.
+/// q-gram order of the screen: 4^4 = 256 histogram buckets per strand.
+constexpr int kScreenQ = 4;
+constexpr std::size_t kHistSize = std::size_t{1} << (2 * kScreenQ);
+
+/// Candidates screened per banded-Myers batch.
 constexpr std::size_t kScreenBlock = 32;
 
 /// Minimum pair evaluations per pool task. Below this a task is shorter
 /// than one worker wake-up, so batches over few clusters run inline.
 constexpr std::size_t kPairsPerTask = 512;
 
+/// Work booked up to and including each read's first match, exactly as the
+/// serial early-exit scan books it.
+struct ScanTally {
+  std::uint64_t candidates = 0;  // pairs considered
+  std::uint64_t rejected = 0;    // of which resolved by a lower bound
+  std::uint64_t dp_cells = 0;    // exact-kernel DP cells
+};
+
 /// Per-read scratch, one per batch slot, reused across batches.
 struct Slot {
   std::vector<std::uint16_t> hist;  // the read's q-gram histogram
   MyersPattern pattern{Strand{}};
   std::size_t match = kNoMatch;
-  detail::ScanTally tally;
+  ScanTally tally;
 };
 
 /// The clusters founded so far plus what one read's scan needs of them.
 struct ScanState {
-  const ClusterParams& params;
-  const detail::RejectRule& rule;
-  bool myers = false;
-  std::size_t hist_size = 0;
+  int threshold = 0;
+  int band = 0;
   std::vector<Cluster> clusters;
-  std::vector<std::uint16_t> rep_hists;  // hist_size buckets per cluster
+  std::vector<std::uint16_t> rep_hists;  // kHistSize buckets per cluster
 
+  /// True when a lower bound proves d(bases, rep of c) > threshold.
   bool rejects(const Strand& bases, const Slot& slot, std::size_t c) const {
-    if (rule.use_length &&
-        length_lower_bound(bases, clusters[c].representative) > rule.bound) {
-      return true;
-    }
-    return rule.q > 0 &&
-           detail::qgram_bound(slot.hist.data(), &rep_hists[c * hist_size],
-                               hist_size, rule.q) > rule.bound;
+    return length_lower_bound(bases, clusters[c].representative) > threshold ||
+           detail::qgram_bound(slot.hist.data(), &rep_hists[c * kHistSize],
+                               kHistSize, kScreenQ) > threshold;
   }
 
   /// Scans clusters [lo, hi) in order and returns the first match (or
-  /// kNoMatch), booking pairs into slot.tally up to and including it. The
-  /// DP kernels run pair by pair; the Myers path screens a block of
-  /// candidates, then runs one SIMD banded-Myers batch over the survivors.
+  /// kNoMatch), booking pairs into slot.tally up to and including it. Each
+  /// block of candidates is screened first, then the survivors run one
+  /// SIMD banded-Myers batch.
   std::size_t scan(const Strand& bases, Slot& slot, std::size_t lo,
                    std::size_t hi) const {
-    const int threshold = params.distance_threshold;
-    if (!myers) {
-      for (std::size_t c = lo; c < hi; ++c) {
-        ++slot.tally.candidates;
-        const Strand& rep = clusters[c].representative;
-        int distance = rule.rejected_distance;
-        if (rejects(bases, slot, c)) {
-          ++slot.tally.rejected;
-        } else if (params.band > 0) {
-          distance = levenshtein_banded(bases, rep, params.band);
-          slot.tally.dp_cells +=
-              static_cast<std::uint64_t>(bases.size()) * (2 * params.band + 1);
-        } else {
-          distance = levenshtein_full(bases, rep);
-          slot.tally.dp_cells += dp_cells(bases, rep);
-        }
-        if (distance <= threshold) return c;
-      }
-      return kNoMatch;
-    }
     std::array<std::uint8_t, kScreenBlock> rejected;
     std::array<const Strand*, kScreenBlock> survivors;
     std::array<int, kScreenBlock> survivor_dist;
@@ -88,28 +74,26 @@ struct ScanState {
         }
       }
       levenshtein_myers_banded_batch(slot.pattern, survivors.data(), live,
-                                     params.band, survivor_dist.data());
+                                     band, survivor_dist.data());
       // Screens past the first match are discarded unbooked.
       std::size_t next_survivor = 0;
       for (std::size_t i = 0; i < count; ++i) {
         ++slot.tally.candidates;
-        int distance = rule.rejected_distance;
         if (rejected[i]) {
           ++slot.tally.rejected;
-        } else {
-          distance = survivor_dist[next_survivor++];
-          slot.tally.dp_cells +=
-              myers_cells(bases, clusters[base + i].representative);
+          continue;
         }
-        if (distance <= threshold) return base + i;
+        slot.tally.dp_cells +=
+            myers_cells(bases, clusters[base + i].representative);
+        if (survivor_dist[next_survivor++] <= threshold) return base + i;
       }
     }
     return kNoMatch;
   }
 
   void prepare(const Strand& bases, Slot& slot) const {
-    if (rule.q > 0) detail::fill_qgram_histogram(bases, rule.q, slot.hist);
-    if (myers) slot.pattern.assign(bases);
+    detail::fill_qgram_histogram(bases, kScreenQ, slot.hist);
+    slot.pattern.assign(bases);
     slot.match = kNoMatch;
     slot.tally = {};
   }
@@ -117,16 +101,14 @@ struct ScanState {
 
 }  // namespace
 
-namespace detail {
-
-std::vector<Cluster> greedy_scan(const std::vector<Read>& reads,
-                                 const ClusterParams& params,
-                                 const RejectRule& rule, ScanTally& tally) {
-  ScanState state{
-      params, rule,
-      params.band > 0 && params.kernel == DistanceKernel::kScreenedMyers,
-      rule.q > 0 ? std::size_t{1} << (2 * rule.q) : 0, {}, {}};
+ClusterResult cluster_reads(const std::vector<Read>& reads,
+                            const ClusterParams& params) {
+  ICSC_TRACE_SPAN("dna/cluster_reads");
+  ScanState state;
+  state.threshold = params.distance_threshold;
+  state.band = std::max(params.distance_threshold, 0);
   auto& clusters = state.clusters;
+  ScanTally tally;
   // Reads go in batches. Each read of a batch scans, concurrently with the
   // others, the clusters founded before the batch; the batch then folds
   // serially in read order, and a read without a match there goes on to
@@ -168,32 +150,36 @@ std::vector<Cluster> greedy_scan(const std::vector<Read>& reads,
                              slot.hist.end());
     }
   }
-  return std::move(clusters);
-}
-
-}  // namespace detail
-
-ClusterResult cluster_reads(const std::vector<Read>& reads,
-                            const ClusterParams& params) {
-  ICSC_TRACE_SPAN("dna/cluster_reads");
-  // The screened kernel resolves a pair whose lower bound already exceeds
-  // the band to the banded contract's band + 1, as the exact kernel would.
-  detail::RejectRule rule;
-  if (params.band > 0 && params.kernel == DistanceKernel::kScreenedMyers) {
-    rule.use_length = true;
-    rule.q = params.screen_q >= 1 && params.screen_q <= 8 ? params.screen_q : 0;
-    rule.bound = params.band;
-    rule.rejected_distance = params.band + 1;
-  }
-  detail::ScanTally tally;
   ClusterResult result;
-  result.clusters = detail::greedy_scan(reads, params, rule, tally);
+  result.clusters = std::move(clusters);
   result.pair_comparisons = tally.candidates;
   result.dp_cells_updated = tally.dp_cells;
   result.screened_out = tally.rejected;
   ICSC_TRACE_COUNT("dna.pair_comparisons", result.pair_comparisons);
   ICSC_TRACE_COUNT("dna.dp_cells", result.dp_cells_updated);
   ICSC_TRACE_COUNT("dna.screened_out", result.screened_out);
+  return result;
+}
+
+ClusterResult cluster_reads_reference(const std::vector<Read>& reads,
+                                      int distance_threshold) {
+  ClusterResult result;
+  auto& clusters = result.clusters;
+  for (std::size_t r = 0; r < reads.size(); ++r) {
+    const Strand& bases = reads[r].bases;
+    bool joined = false;
+    for (auto& cluster : clusters) {
+      ++result.pair_comparisons;
+      result.dp_cells_updated += dp_cells(bases, cluster.representative);
+      if (levenshtein_full(bases, cluster.representative) <=
+          distance_threshold) {
+        cluster.read_indices.push_back(r);
+        joined = true;
+        break;
+      }
+    }
+    if (!joined) clusters.push_back({{r}, bases});
+  }
   return result;
 }
 

@@ -16,26 +16,8 @@
 
 namespace icsc::hetero::dna {
 
-/// Exact-distance kernel the clustering scans run when `band > 0`.
-/// Both produce identical distances (the levenshtein_banded contract:
-/// exact when <= band, band + 1 otherwise), so cluster assignments are
-/// bit-identical; only the work performed per pair differs.
-enum class DistanceKernel {
-  /// The banded dynamic-programming kernel (the pre-screening baseline).
-  kBandedDp,
-  /// Two-stage path: length-difference + q-gram lower bounds skip the
-  /// exact kernel entirely when the bound already exceeds the band; the
-  /// survivors run the bit-parallel banded Myers/Hyyro kernel.
-  kScreenedMyers,
-};
-
 struct ClusterParams {
   int distance_threshold = 10;  // join a cluster if d(read, rep) <= this
-  /// Use a banded kernel with this band when > 0; full DP otherwise.
-  int band = 12;
-  DistanceKernel kernel = DistanceKernel::kScreenedMyers;
-  /// q-gram order of the kScreenedMyers screen (1..8; 0 disables it).
-  int screen_q = 4;
 };
 
 struct Cluster {
@@ -45,17 +27,32 @@ struct Cluster {
 
 struct ClusterResult {
   std::vector<Cluster> clusters;
-  std::uint64_t pair_comparisons = 0;  // edit-distance evaluations performed
-  std::uint64_t dp_cells_updated = 0;  // total DP work (CUPS numerator)
-  /// kScreenedMyers only: pairs resolved by a lower bound alone (counted in
-  /// pair_comparisons, but no exact-kernel cells were updated for them).
+  std::uint64_t pair_comparisons = 0;  // (read, representative) pairs met
+  std::uint64_t dp_cells_updated = 0;  // exact-kernel DP work (CUPS numerator)
+  /// Pairs a lower bound alone rejected (counted in pair_comparisons, but
+  /// no exact-kernel cells were updated for them).
   std::uint64_t screened_out = 0;
 };
 
-/// Greedy star clustering: each read joins the first cluster whose
-/// representative is within the threshold, else founds a new cluster.
+/// Greedy star clustering: each read, in order, joins the first cluster (in
+/// founding order) whose representative is within the threshold, else
+/// founds a new cluster. Each pair first meets the length and q-gram lower
+/// bounds of prefilter.hpp (the pre-alignment filters of [33], [34]); a
+/// pair whose bound exceeds the threshold never joins and skips the exact
+/// kernel. Survivors run banded Myers with band = max(threshold, 0): the
+/// banded contract is exact whenever the distance is <= band, so every
+/// "within threshold" decision matches full DP. Clusters and counters do
+/// not depend on the thread count or the SIMD ISA.
 ClusterResult cluster_reads(const std::vector<Read>& reads,
                             const ClusterParams& params);
+
+/// The plain serial greedy loop, one full-DP distance per pair and no
+/// screen, retained as the equivalence oracle for tests and the old-path
+/// baseline for the benches. Same clusters and pair_comparisons as
+/// cluster_reads; dp_cells_updated counts full-matrix cells; screened_out
+/// stays 0.
+ClusterResult cluster_reads_reference(const std::vector<Read>& reads,
+                                      int distance_threshold);
 
 /// Fraction of clusters whose member reads all share one origin strand
 /// (purity) and fraction of origins recovered by at least one pure cluster.

@@ -1,13 +1,11 @@
 #include "hetero/dna/prefilter.hpp"
 
 #include <cstdlib>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/error.hpp"
 #include "core/simd.hpp"
-#include "hetero/dna/greedy_scan.hpp"
 
 namespace icsc::hetero::dna {
 
@@ -76,27 +74,6 @@ int qgram_histogram_lower_bound(const std::vector<std::uint16_t>& ha,
 int qgram_lower_bound(const Strand& a, const Strand& b, int q) {
   return qgram_histogram_lower_bound(qgram_histogram(a, q),
                                      qgram_histogram(b, q), q);
-}
-
-FilteredClusterResult cluster_reads_filtered(const std::vector<Read>& reads,
-                                             const ClusterParams& params,
-                                             const FilterParams& filter) {
-  if (filter.use_qgram) check_q("cluster_reads_filtered", filter.q);
-  // Lower bounds against the threshold: a rejected pair can never join.
-  detail::RejectRule rule;
-  rule.use_length = filter.use_length;
-  rule.q = filter.use_qgram ? filter.q : 0;
-  rule.bound = params.distance_threshold;
-  rule.rejected_distance = std::numeric_limits<int>::max();
-  detail::ScanTally tally;
-  FilteredClusterResult result;
-  result.clusters.clusters = detail::greedy_scan(reads, params, rule, tally);
-  result.candidates = tally.candidates;
-  result.filtered_out = tally.rejected;
-  result.exact_evaluations = tally.candidates - tally.rejected;
-  result.clusters.pair_comparisons = result.exact_evaluations;
-  result.clusters.dp_cells_updated = tally.dp_cells;
-  return result;
 }
 
 }  // namespace icsc::hetero::dna

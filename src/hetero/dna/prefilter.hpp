@@ -10,12 +10,15 @@
 //     max(|a|,|b|) - q + 1 - q*t q-grams (the q-gram lemma); counting
 //     4^q-bucket histograms gives a lower bound on the distance.
 // Both are *complete* (never reject a true match), which the tests verify.
+// cluster_reads (cluster.hpp) screens every candidate pair with both, at
+// q = 4, against its distance threshold.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "hetero/dna/cluster.hpp"
+#include "hetero/dna/encoding.hpp"
 
 namespace icsc::hetero::dna {
 
@@ -39,25 +42,17 @@ std::vector<std::uint16_t> qgram_histogram(const Strand& s, int q);
 int qgram_histogram_lower_bound(const std::vector<std::uint16_t>& ha,
                                 const std::vector<std::uint16_t>& hb, int q);
 
-struct FilterParams {
-  int q = 4;
-  bool use_length = true;
-  bool use_qgram = true;
-};
+namespace detail {
 
-/// Greedy star clustering with pre-alignment filtering: candidate pairs
-/// whose lower bound exceeds the threshold skip the exact kernel. Runs the
-/// same read-batched scan as cluster_reads. Throws core::Error when
-/// use_qgram is set and q is not in [1, 8].
-struct FilteredClusterResult {
-  ClusterResult clusters;
-  std::uint64_t candidates = 0;       // pairs considered
-  std::uint64_t filtered_out = 0;     // rejected by lower bounds alone
-  std::uint64_t exact_evaluations = 0;  // pairs that ran the exact kernel
-};
+/// qgram_histogram into caller-owned storage (resized to 4^q buckets), for
+/// scans that reuse one buffer per read. q in [1, 8]; unchecked.
+void fill_qgram_histogram(const Strand& s, int q,
+                          std::vector<std::uint16_t>& hist);
 
-FilteredClusterResult cluster_reads_filtered(const std::vector<Read>& reads,
-                                             const ClusterParams& params,
-                                             const FilterParams& filter);
+/// qgram_histogram_lower_bound on two n-bucket histograms; unchecked.
+int qgram_bound(const std::uint16_t* a, const std::uint16_t* b, std::size_t n,
+                int q);
+
+}  // namespace detail
 
 }  // namespace icsc::hetero::dna

@@ -7,7 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "approx/conv.hpp"
 #include "core/rng.hpp"
 #include "core/tensor.hpp"
 #include "service/degrade.hpp"
@@ -291,89 +290,6 @@ core::JobRequest MvmBatchClient::make_request(
     }
   };
   return request;
-}
-
-// ---------------------------------------------------------------------------
-// Coalesced (deduplicated) design-point evaluations.
-
-core::JobRequest make_dse_eval_request(DseEvalOptions options,
-                                       std::shared_ptr<hls::DesignPoint> out) {
-  core::JobRequest request;
-  request.tenant = options.tenant;
-  request.priority = options.priority;
-  request.cost_estimate_seconds = options.cost_estimate_seconds;
-  request.coalesce_key =
-      "dse:" + options.kernel.name() + ":" +
-      std::to_string(options.kernel.size()) + ":u" +
-      std::to_string(options.unroll) + ":a" +
-      std::to_string(options.budget.alus) + "m" +
-      std::to_string(options.budget.muls) + "d" +
-      std::to_string(options.budget.divs) + "p" +
-      std::to_string(options.budget.mem_ports) + ":i" +
-      std::to_string(options.config.iterations) +
-      (options.config.pipelined ? ":pipe" : "") + ":" +
-      options.config.device.part;
-  request.body = [options = std::move(options),
-                  out = std::move(out)](core::JobContext& ctx) {
-    // Same key => identical evaluation: the first member of a coalesced
-    // group pays for the pipeline pass and parks the point in the shared
-    // slot; every member (the first included) copies it out.
-    auto& state = ctx.batch_state();
-    if (!state) {
-      state = std::make_shared<hls::DesignPoint>(hls::evaluate_design(
-          options.kernel, options.unroll, options.budget, options.config));
-    }
-    ctx.heartbeat();
-    if (out) *out = *static_cast<hls::DesignPoint*>(state.get());
-  };
-  return request;
-}
-
-JobBody make_conv_job(ConvJobOptions options, std::shared_ptr<double> out) {
-  return [options, out = std::move(out)](core::JobContext& ctx) {
-    ctx.heartbeat();
-    core::Rng rng(options.seed);
-    approx::ConvLayer layer;
-    layer.weights = core::TensorF(
-        {options.out_channels, options.in_channels, options.kernel,
-         options.kernel});
-    for (auto& v : layer.weights.data()) {
-      v = static_cast<float>(rng.uniform(-0.5, 0.5));
-    }
-    layer.bias.assign(options.out_channels, 0.0f);
-    approx::FeatureMap input(
-        {options.in_channels, options.height, options.width});
-    for (auto& v : input.data()) {
-      v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    }
-    const approx::QuantConfig quant;
-    const int repeats = static_cast<int>(scaled_trials(
-        static_cast<std::size_t>(std::max(1, options.repeats)), ctx.tier()));
-    double checksum = 0.0;
-    for (int r = 0; r < repeats; ++r) {
-      if (ctx.cancelled()) break;
-      const approx::FeatureMap result = layer.apply(input, quant);
-      checksum = 0.0;
-      for (const float v : result.data()) checksum += v;
-      ctx.heartbeat();
-    }
-    if (out) *out = checksum;
-  };
-}
-
-JobBody make_scf_job(ScfJobOptions options,
-                     std::shared_ptr<scf::ModelInferenceEstimate> out) {
-  return [options = std::move(options),
-          out = std::move(out)](core::JobContext& ctx) {
-    ctx.heartbeat();
-    if (ctx.cancelled()) return;
-    const int layers = static_cast<int>(scaled_trials(
-        static_cast<std::size_t>(std::max(1, options.layers)), ctx.tier()));
-    const auto estimate =
-        scf::estimate_model_inference(options.model, layers, options.fabric);
-    ctx.heartbeat();
-    if (out) *out = estimate;
-  };
 }
 
 ResubmitResult submit_with_backoff(core::CampaignService& service,

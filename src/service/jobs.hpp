@@ -1,9 +1,8 @@
 // Tier-aware job adapters: subsystem campaigns as CampaignService bodies.
 //
 // Each make_*_job factory wraps one subsystem entry point -- HLS design
-// space exploration, Monte-Carlo fault campaigns, IMC crossbar MVM,
-// approximate convolution, the DNA archival pipeline, and the SCF
-// transformer estimate -- as a type-erased service job body. The adapters
+// space exploration, Monte-Carlo fault campaigns, IMC crossbar MVM and the
+// DNA archival pipeline -- as a type-erased service job body. The adapters
 // own the glue the service contract requires:
 //
 //   Result plumbing -- bodies return nothing; producers pass a shared_ptr
@@ -38,9 +37,6 @@
 #include "hetero/dna/storage_sim.hpp"
 #include "hls/dse.hpp"
 #include "imc/crossbar.hpp"
-#include "scf/fabric.hpp"
-#include "scf/model.hpp"
-#include "scf/transformer.hpp"
 
 namespace icsc::service {
 
@@ -112,7 +108,7 @@ JobBody make_dna_job(DnaJobOptions options,
                      std::shared_ptr<hetero::dna::ArchivalSimResult> out);
 
 // ---------------------------------------------------------------------------
-// Small interactive jobs: IMC crossbar MVM, approximate conv, SCF estimate.
+// Small interactive jobs: IMC crossbar MVM.
 
 struct MvmJobOptions {
   std::size_t dim = 24;
@@ -188,54 +184,6 @@ class MvmBatchClient {
   std::shared_ptr<Shared> shared_;
   std::shared_ptr<imc::Crossbar> crossbar_;
 };
-
-// ---------------------------------------------------------------------------
-// Coalesced (deduplicated) single design-point evaluations.
-
-struct DseEvalOptions {
-  hls::Kernel kernel{"empty"};
-  int unroll = 1;
-  hls::ResourceBudget budget;
-  hls::DseConfig config;
-  std::string tenant = "default";
-  core::PriorityClass priority = core::PriorityClass::kBatch;
-  double cost_estimate_seconds = 0.0;
-};
-
-/// One memoized hls::evaluate_design call as a coalescible request. The
-/// coalesce key fingerprints (kernel name/size, unroll, budget, device,
-/// iterations, pipelined), so a coalesced group holds *identical*
-/// evaluations: the first member evaluates once and every member's slot
-/// receives the same DesignPoint -- N queued duplicates cost one pipeline
-/// pass. Callers must keep distinct kernels under distinct names (the key
-/// cannot hash the op graph cheaply).
-core::JobRequest make_dse_eval_request(DseEvalOptions options,
-                                       std::shared_ptr<hls::DesignPoint> out);
-
-struct ConvJobOptions {
-  std::size_t out_channels = 4;
-  std::size_t in_channels = 4;
-  std::size_t kernel = 3;
-  std::size_t height = 32;
-  std::size_t width = 32;
-  std::uint64_t seed = 1;
-  /// Full-tier forward passes (degraded tiers run fewer).
-  int repeats = 2;
-};
-
-/// Repeated quantized conv forward passes; `out` receives the final
-/// feature map's element sum (a cheap order-independent checksum).
-JobBody make_conv_job(ConvJobOptions options, std::shared_ptr<double> out);
-
-struct ScfJobOptions {
-  scf::TransformerConfig model;
-  /// Full-tier encoder depth (degraded tiers estimate a shallower model).
-  int layers = 2;
-  scf::FabricConfig fabric;
-};
-
-JobBody make_scf_job(ScfJobOptions options,
-                     std::shared_ptr<scf::ModelInferenceEstimate> out);
 
 // ---------------------------------------------------------------------------
 // Resubmission under overload.

@@ -119,17 +119,6 @@ TEST(Cluster, SingletonReadsFormOwnClusters) {
   EXPECT_EQ(result.clusters.size(), reads.reads.size());
 }
 
-TEST(Cluster, FullDpPathAgreesWithBanded) {
-  const auto reads = make_read_set(256, 0.01, 5.0, 23);
-  ClusterParams banded;
-  ClusterParams full;
-  full.band = 0;
-  full.distance_threshold = banded.distance_threshold;
-  const auto rb = cluster_reads(reads.reads, banded);
-  const auto rf = cluster_reads(reads.reads, full);
-  EXPECT_EQ(rb.clusters.size(), rf.clusters.size());
-}
-
 TEST(Consensus, ExactRecoveryAtModerateNoise) {
   std::vector<Strand> strands;
   const auto reads = make_read_set(512, 0.01, 10.0, 29, &strands);
@@ -242,7 +231,6 @@ TEST(StorageSim, HighNoiseDegrades) {
   noisy.channel.insertion_rate = 0.04;
   noisy.channel.deletion_rate = 0.04;
   noisy.clustering.distance_threshold = 30;
-  noisy.clustering.band = 34;
   const auto r_clean = run_storage_sim(clean);
   const auto r_noisy = run_storage_sim(noisy);
   EXPECT_GE(r_noisy.byte_error_rate, r_clean.byte_error_rate);

@@ -2,13 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <utility>
 
 #include "core/error.hpp"
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "hetero/dna/channel.hpp"
+#include "hetero/dna/cluster.hpp"
 #include "hetero/dna/encoding.hpp"
 
 namespace icsc::hetero::dna {
@@ -83,88 +83,66 @@ ReadSet make_reads(std::uint64_t seed) {
   return simulate_channel(set.strands, channel);
 }
 
-TEST(FilteredClustering, SameClustersAsUnfiltered) {
-  const auto reads = make_reads(11);
-  ClusterParams params;
-  const auto plain = cluster_reads(reads.reads, params);
-  const auto filtered =
-      cluster_reads_filtered(reads.reads, params, FilterParams{});
-  // Completeness: the filters never reject a true match, so the greedy
-  // assignment sequence -- and hence the clusters -- are identical.
-  ASSERT_EQ(filtered.clusters.clusters.size(), plain.clusters.size());
-  for (std::size_t c = 0; c < plain.clusters.size(); ++c) {
-    EXPECT_EQ(filtered.clusters.clusters[c].read_indices,
-              plain.clusters[c].read_indices);
+void expect_same_clusters(const std::vector<Cluster>& want,
+                          const std::vector<Cluster>& got) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    EXPECT_EQ(got[c].read_indices, want[c].read_indices) << "cluster " << c;
+    EXPECT_EQ(got[c].representative, want[c].representative)
+        << "cluster " << c;
   }
+}
+
+TEST(FilteredClustering, SameClustersAsUnfiltered) {
+  // Completeness: the filters never reject a true match and the band never
+  // cuts a distance within the threshold, so the greedy assignment
+  // sequence -- and hence the clusters -- equal the unscreened full-DP
+  // loop's, on strands longer than one 64-bit Myers word.
+  const auto reads = make_reads(11);
+  const ClusterParams params;
+  const auto screened = cluster_reads(reads.reads, params);
+  const auto plain =
+      cluster_reads_reference(reads.reads, params.distance_threshold);
+  expect_same_clusters(plain.clusters, screened.clusters);
+  EXPECT_EQ(screened.pair_comparisons, plain.pair_comparisons);
+  EXPECT_EQ(plain.screened_out, 0u);
 }
 
 TEST(FilteredClustering, FiltersMostCandidatePairs) {
   const auto reads = make_reads(13);
-  ClusterParams params;
-  const auto filtered =
-      cluster_reads_filtered(reads.reads, params, FilterParams{});
-  EXPECT_GT(filtered.candidates, 0u);
-  EXPECT_EQ(filtered.candidates,
-            filtered.filtered_out + filtered.exact_evaluations);
-  const double filter_rate =
-      static_cast<double>(filtered.filtered_out) /
-      static_cast<double>(filtered.candidates);
+  const ClusterParams params;
+  const auto screened = cluster_reads(reads.reads, params);
+  EXPECT_GT(screened.pair_comparisons, 0u);
+  const double filter_rate = static_cast<double>(screened.screened_out) /
+                             static_cast<double>(screened.pair_comparisons);
   // Most cross-cluster candidates are dissimilar -> rejected cheaply.
   EXPECT_GT(filter_rate, 0.7);
-  // And the exact kernel runs far fewer times than the unfiltered path.
-  const auto plain = cluster_reads(reads.reads, params);
-  EXPECT_LT(filtered.exact_evaluations, plain.pair_comparisons / 2);
+  // And the exact kernel runs far fewer times than the unscreened path.
+  const auto plain =
+      cluster_reads_reference(reads.reads, params.distance_threshold);
+  EXPECT_LT(screened.pair_comparisons - screened.screened_out,
+            plain.pair_comparisons / 2);
+  EXPECT_LT(screened.dp_cells_updated, plain.dp_cells_updated);
 }
 
 TEST(FilteredClustering, ParallelScanBitIdenticalToSerial) {
-  // The speculative parallel candidate scan must reproduce the serial
-  // greedy clustering exactly -- assignments AND work counters.
+  // The read-batched parallel scan must reproduce the serial greedy
+  // clustering exactly -- assignments AND work counters.
   core::set_parallel_threads(4);  // real pool even on 1-core hosts
   const auto reads = make_reads(19);
-  ClusterParams params;
-  ClusterResult serial_plain;
-  FilteredClusterResult serial_filtered;
+  const ClusterParams params;
+  ClusterResult serial;
   {
     core::ScopedSerial guard;
-    serial_plain = cluster_reads(reads.reads, params);
-    serial_filtered =
-        cluster_reads_filtered(reads.reads, params, FilterParams{});
+    serial = cluster_reads(reads.reads, params);
   }
-  const auto parallel_plain = cluster_reads(reads.reads, params);
-  const auto parallel_filtered =
-      cluster_reads_filtered(reads.reads, params, FilterParams{});
+  const auto parallel = cluster_reads(reads.reads, params);
   core::set_parallel_threads(0);
 
-  EXPECT_EQ(parallel_plain.pair_comparisons, serial_plain.pair_comparisons);
-  EXPECT_EQ(parallel_plain.dp_cells_updated, serial_plain.dp_cells_updated);
-  ASSERT_EQ(parallel_plain.clusters.size(), serial_plain.clusters.size());
-  for (std::size_t c = 0; c < serial_plain.clusters.size(); ++c) {
-    EXPECT_EQ(parallel_plain.clusters[c].read_indices,
-              serial_plain.clusters[c].read_indices);
-    EXPECT_EQ(parallel_plain.clusters[c].representative,
-              serial_plain.clusters[c].representative);
-  }
-  EXPECT_EQ(parallel_filtered.candidates, serial_filtered.candidates);
-  EXPECT_EQ(parallel_filtered.filtered_out, serial_filtered.filtered_out);
-  EXPECT_EQ(parallel_filtered.exact_evaluations,
-            serial_filtered.exact_evaluations);
-  ASSERT_EQ(parallel_filtered.clusters.clusters.size(),
-            serial_filtered.clusters.clusters.size());
-  for (std::size_t c = 0; c < serial_filtered.clusters.clusters.size(); ++c) {
-    EXPECT_EQ(parallel_filtered.clusters.clusters[c].read_indices,
-              serial_filtered.clusters.clusters[c].read_indices);
-  }
-}
-
-TEST(FilteredClustering, LengthOnlyFilterStillComplete) {
-  const auto reads = make_reads(17);
-  ClusterParams params;
-  FilterParams length_only;
-  length_only.use_qgram = false;
-  const auto plain = cluster_reads(reads.reads, params);
-  const auto filtered =
-      cluster_reads_filtered(reads.reads, params, length_only);
-  EXPECT_EQ(filtered.clusters.clusters.size(), plain.clusters.size());
+  EXPECT_EQ(parallel.pair_comparisons, serial.pair_comparisons);
+  EXPECT_EQ(parallel.screened_out, serial.screened_out);
+  EXPECT_EQ(parallel.dp_cells_updated, serial.dp_cells_updated);
+  expect_same_clusters(serial.clusters, parallel.clusters);
 }
 
 TEST(QgramBound, RejectsInvalidInputsInEveryBuild) {
@@ -182,30 +160,9 @@ TEST(QgramBound, RejectsInvalidInputsInEveryBuild) {
   EXPECT_EQ(qgram_histogram_lower_bound(h4, h4, 4), 0);
 }
 
-TEST(FilteredClustering, ValidatesQgramOrderOnEntry) {
-  const auto reads = make_reads(23);
-  const ClusterParams params;
-  FilterParams bad;
-  bad.q = 16;
-  EXPECT_THROW(cluster_reads_filtered(reads.reads, params, bad), core::Error);
-  // q is unused without the q-gram filter.
-  bad.use_qgram = false;
-  EXPECT_NO_THROW(cluster_reads_filtered(reads.reads, params, bad));
-  // ClusterParams::screen_q > 8 disables the q-gram screen, as 0 does.
-  ClusterParams large_q;
-  large_q.screen_q = 16;
-  ClusterParams no_qgram;
-  no_qgram.screen_q = 0;
-  const auto got = cluster_reads(reads.reads, large_q);
-  const auto want = cluster_reads(reads.reads, no_qgram);
-  EXPECT_EQ(got.clusters.size(), want.clusters.size());
-  EXPECT_EQ(got.pair_comparisons, want.pair_comparisons);
-  EXPECT_EQ(got.screened_out, want.screened_out);
-  EXPECT_EQ(got.dp_cells_updated, want.dp_cells_updated);
-}
-
-// ~2k reads from 200 random 24-nt origins: the cluster count K reaches the
-// hundreds, so the read-batched scan's batches fan out over the pool. In
+// ~1k reads from 200 random 24-nt origins: the cluster count K reaches the
+// hundreds, so the read-batched scan's batches fan out over the pool, while
+// the quadratic full-DP reference stays cheap enough for sanitizer builds. In
 // channel order (grouped by origin) most reads join a cluster founded
 // within their own batch; shuffled, most match one founded before it.
 std::vector<Read> fanout_reads(bool shuffled) {
@@ -216,7 +173,7 @@ std::vector<Read> fanout_reads(bool shuffled) {
   channel.substitution_rate = 0.01;
   channel.insertion_rate = 0.003;
   channel.deletion_rate = 0.003;
-  channel.mean_coverage = 11.0;
+  channel.mean_coverage = 5.0;
   channel.seed = 31;
   auto reads = simulate_channel(origins, channel).reads;
   if (shuffled) {
@@ -227,114 +184,44 @@ std::vector<Read> fanout_reads(bool shuffled) {
   return reads;
 }
 
-/// A threshold the 24-nt origins stay far apart under, and a band and
-/// q-gram order at which the lower bounds reject most cross-origin pairs.
-ClusterParams fanout_params(DistanceKernel kernel, int band) {
-  ClusterParams params;
-  params.distance_threshold = 4;
-  params.band = band;
-  params.kernel = kernel;
-  params.screen_q = 3;
-  return params;
+/// The work counters of one clustering run.
+std::vector<std::uint64_t> counters(const ClusterResult& r) {
+  return {r.pair_comparisons, r.dp_cells_updated, r.screened_out};
 }
 
-/// The plain serial greedy star clustering, one banded DP per pair.
-std::vector<Cluster> serial_greedy(const std::vector<Read>& reads,
-                                   int threshold, int band) {
-  std::vector<Cluster> clusters;
-  for (std::size_t r = 0; r < reads.size(); ++r) {
-    bool joined = false;
-    for (auto& cluster : clusters) {
-      if (levenshtein_banded(reads[r].bases, cluster.representative, band) <=
-          threshold) {
-        cluster.read_indices.push_back(r);
-        joined = true;
-        break;
-      }
-    }
-    if (!joined) clusters.push_back({{r}, reads[r].bases});
-  }
-  return clusters;
-}
-
-void expect_same_clusters(const std::vector<Cluster>& want,
-                          const std::vector<Cluster>& got) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t c = 0; c < want.size(); ++c) {
-    EXPECT_EQ(got[c].read_indices, want[c].read_indices) << "cluster " << c;
-    EXPECT_EQ(got[c].representative, want[c].representative)
-        << "cluster " << c;
-  }
-}
-
-/// Clusters plus every work counter of one clustering run.
-using Outcome = std::pair<std::vector<Cluster>, std::vector<std::uint64_t>>;
-
-/// Runs `run` under ScopedSerial and on 1..4 threads, in channel and in
-/// shuffled order: clusters and counters must not move, and the clusters
-/// must equal the plain serial greedy loop.
-void expect_fanout_identical(
-    const ClusterParams& params,
-    const std::function<Outcome(const std::vector<Read>&)>& run) {
+TEST(ReadBatchedScan, MatchesReferenceAcrossThresholdsAndThreadCounts) {
+  // Under ScopedSerial and on 1..4 threads, in channel and in shuffled
+  // order: clusters and representatives equal the unscreened full-DP
+  // greedy loop, and the work counters do not move with the thread count.
+  // The 24-nt origins stay far apart at threshold 4; -1 merges nothing and
+  // 30 lets most pairs through the screens.
   for (const bool shuffled : {false, true}) {
     SCOPED_TRACE(shuffled ? "shuffled" : "channel order");
     const auto reads = fanout_reads(shuffled);
-    ASSERT_GE(reads.size(), 2000u);
-    Outcome serial;
-    {
-      core::ScopedSerial guard;
-      serial = run(reads);
+    ASSERT_GE(reads.size(), 900u);
+    for (const int threshold : {-1, 0, 4, 10, 30}) {
+      SCOPED_TRACE(threshold);
+      const ClusterParams params{threshold};
+      const auto want = cluster_reads_reference(reads, threshold);
+      ClusterResult serial;
+      {
+        core::ScopedSerial guard;
+        serial = cluster_reads(reads, params);
+      }
+      if (threshold == 4) {
+        ASSERT_GE(serial.clusters.size(), 150u);  // batches fan out
+      }
+      expect_same_clusters(want.clusters, serial.clusters);
+      EXPECT_EQ(serial.pair_comparisons, want.pair_comparisons);
+      for (const std::size_t threads : {1, 2, 3, 4}) {
+        SCOPED_TRACE(threads);
+        core::set_parallel_threads(threads);
+        const auto got = cluster_reads(reads, params);
+        expect_same_clusters(serial.clusters, got.clusters);
+        EXPECT_EQ(counters(got), counters(serial));
+      }
+      core::set_parallel_threads(0);
     }
-    ASSERT_GE(serial.first.size(), 150u);
-    // Band = threshold decides "within threshold" exactly.
-    expect_same_clusters(serial_greedy(reads, params.distance_threshold,
-                                       params.distance_threshold),
-                         serial.first);
-    for (const std::size_t threads : {1, 2, 3, 4}) {
-      SCOPED_TRACE(threads);
-      core::set_parallel_threads(threads);
-      const Outcome got = run(reads);
-      expect_same_clusters(serial.first, got.first);
-      EXPECT_EQ(got.second, serial.second);
-    }
-    core::set_parallel_threads(0);
-  }
-}
-
-void expect_plain_fanout_identical(const ClusterParams& params) {
-  expect_fanout_identical(params, [&](const std::vector<Read>& reads) {
-    auto r = cluster_reads(reads, params);
-    return Outcome{std::move(r.clusters),
-                   {r.pair_comparisons, r.dp_cells_updated, r.screened_out}};
-  });
-}
-
-TEST(ReadBatchedScan, ScreenedMyersIdenticalAcrossThreadCounts) {
-  expect_plain_fanout_identical(
-      fanout_params(DistanceKernel::kScreenedMyers, 4));
-}
-
-TEST(ReadBatchedScan, BandedDpIdenticalAcrossThreadCounts) {
-  expect_plain_fanout_identical(fanout_params(DistanceKernel::kBandedDp, 4));
-}
-
-TEST(ReadBatchedScan, FullDpIdenticalAcrossThreadCounts) {
-  expect_plain_fanout_identical(fanout_params(DistanceKernel::kBandedDp, 0));
-}
-
-TEST(ReadBatchedScan, FilteredIdenticalAcrossThreadCounts) {
-  for (const auto kernel :
-       {DistanceKernel::kScreenedMyers, DistanceKernel::kBandedDp}) {
-    const ClusterParams params = fanout_params(kernel, 4);
-    FilterParams filter;
-    filter.q = 3;
-    expect_fanout_identical(params, [&](const std::vector<Read>& reads) {
-      auto r = cluster_reads_filtered(reads, params, filter);
-      return Outcome{std::move(r.clusters.clusters),
-                     {r.candidates, r.filtered_out, r.exact_evaluations,
-                      r.clusters.pair_comparisons,
-                      r.clusters.dp_cells_updated}};
-    });
   }
 }
 

@@ -1,15 +1,15 @@
 // Equivalence tests for the two-stage DNA distance path: the banded
 // Myers/Hyyro bit-parallel kernel must honour the levenshtein_banded
 // contract on randomized strands (exact distance when <= band, band + 1
-// otherwise), and clustering with kScreenedMyers must produce clusters
-// bit-identical to the kBandedDp seed path while actually screening pairs.
+// otherwise), the q-gram screen must stay a lower bound, and the screened
+// clustering must not depend on the SIMD ISA. cluster_reads against the
+// full-DP reference lives in dna_prefilter_test.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <string>
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "core/simd.hpp"
 #include "hetero/dna/channel.hpp"
@@ -124,62 +124,13 @@ TEST(ScreenedDistance, QgramHistogramBoundNeverExceedsTrueDistance) {
   }
 }
 
-TEST(ScreenedDistance, ClusteringBitIdenticalAcrossKernels) {
-  const auto reads = workload(11);
-  dna::ClusterParams screened;
-  screened.kernel = dna::DistanceKernel::kScreenedMyers;
-  dna::ClusterParams banded = screened;
-  banded.kernel = dna::DistanceKernel::kBandedDp;
-
-  const auto seed = dna::cluster_reads(reads.reads, banded);
-  const auto fast = dna::cluster_reads(reads.reads, screened);
-  expect_identical(seed, fast);
-  EXPECT_EQ(seed.screened_out, 0u);
-  // The unrelated-strand majority of pairs must trip the lower bounds.
-  EXPECT_GT(fast.screened_out, 0u);
-  EXPECT_LT(fast.dp_cells_updated, seed.dp_cells_updated);
-
-  core::ScopedSerial serial;
-  const auto fast_serial = dna::cluster_reads(reads.reads, screened);
-  expect_identical(fast, fast_serial);
-  EXPECT_EQ(fast.screened_out, fast_serial.screened_out);
-  EXPECT_EQ(fast.dp_cells_updated, fast_serial.dp_cells_updated);
-}
-
-TEST(ScreenedDistance, ScreenQZeroDisablesQgramStageOnly) {
-  const auto reads = workload(13);
-  dna::ClusterParams screened;
-  screened.kernel = dna::DistanceKernel::kScreenedMyers;
-  dna::ClusterParams no_qgram = screened;
-  no_qgram.screen_q = 0;
-  expect_identical(dna::cluster_reads(reads.reads, screened),
-                   dna::cluster_reads(reads.reads, no_qgram));
-}
-
-TEST(ScreenedDistance, FilteredClusteringBitIdenticalAcrossKernels) {
-  const auto reads = workload(17);
-  dna::ClusterParams screened;
-  screened.kernel = dna::DistanceKernel::kScreenedMyers;
-  dna::ClusterParams banded = screened;
-  banded.kernel = dna::DistanceKernel::kBandedDp;
-  const dna::FilterParams filter;
-
-  const auto seed = dna::cluster_reads_filtered(reads.reads, banded, filter);
-  const auto fast = dna::cluster_reads_filtered(reads.reads, screened, filter);
-  expect_identical(seed.clusters, fast.clusters);
-  EXPECT_EQ(seed.candidates, fast.candidates);
-  EXPECT_EQ(seed.filtered_out, fast.filtered_out);
-  EXPECT_EQ(seed.exact_evaluations, fast.exact_evaluations);
-}
-
 TEST(ScreenedDistance, IsaSweepClusteringBitIdentical) {
   // The lane-batched Myers kernel and the SIMD q-gram screen must yield the
   // same clusters and the same screening counters on every supported ISA as
   // a forced-scalar run.
   namespace simd = core::simd;
   const auto reads = workload(23);
-  dna::ClusterParams screened;
-  screened.kernel = dna::DistanceKernel::kScreenedMyers;
+  const dna::ClusterParams screened;
   simd::set_active_isa(simd::Isa::kScalar);
   const auto oracle = dna::cluster_reads(reads.reads, screened);
   for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kSse4,
@@ -194,18 +145,4 @@ TEST(ScreenedDistance, IsaSweepClusteringBitIdentical) {
         << simd::isa_name(isa);
   }
   simd::set_active_isa(simd::detected_isa());
-}
-
-TEST(ScreenedDistance, FullDpFallbackIgnoresKernelChoice) {
-  const auto reads = workload(19);
-  dna::ClusterParams screened;
-  screened.band = 0;  // full DP: the kernel knob must be irrelevant
-  screened.kernel = dna::DistanceKernel::kScreenedMyers;
-  dna::ClusterParams banded = screened;
-  banded.kernel = dna::DistanceKernel::kBandedDp;
-  const auto a = dna::cluster_reads(reads.reads, screened);
-  const auto b = dna::cluster_reads(reads.reads, banded);
-  expect_identical(a, b);
-  EXPECT_EQ(a.dp_cells_updated, b.dp_cells_updated);
-  EXPECT_EQ(a.screened_out, 0u);
 }

@@ -10,6 +10,7 @@
 #include "approx/conv.hpp"
 #include "core/bfloat16.hpp"
 #include "core/rng.hpp"
+#include "hetero/dna/edit_distance.hpp"
 #include "hetero/dna/prefilter.hpp"
 #include "hls/pipelining.hpp"
 #include "imc/crossbar.hpp"

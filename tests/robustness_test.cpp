@@ -26,7 +26,6 @@
 #include "imc/conv_mapping.hpp"
 #include "imc/crossbar.hpp"
 #include "imc/dimc.hpp"
-#include "imc/mlc.hpp"
 #include "scf/compute_unit.hpp"
 #include "scf/fabric.hpp"
 #include "scf/hetero_fabric.hpp"
@@ -678,6 +677,7 @@ TEST(Robustness, TensorShapeMismatchesThrowStructuredErrors) {
   tconv.weights = core::TensorF({3, 5, 5}, 0.1F);
   const auto fovea = approx::FovealRegion::full(5, 5);
   for (const auto* input : {&four_channels, &flat}) {
+    EXPECT_THROW(tconv.apply_exact(*input, quant), core::Error);
     EXPECT_THROW(tconv.apply_foveated(*input, fovea, quant), core::Error);
     EXPECT_THROW(tconv.apply_foveated_reference(*input, fovea, quant),
                  core::Error);
@@ -726,10 +726,6 @@ TEST(Robustness, ImcValidationThrows) {
   imc::DimcMacro dimc(w, imc::DimcConfig{});
   const std::vector<float> long_input(5, 1.0F);
   EXPECT_THROW(dimc.matvec(long_input), core::Error);
-  EXPECT_THROW(imc::BitSlicedCrossbar(w, imc::CrossbarConfig{}, 0, 4),
-               core::Error);
-  EXPECT_THROW(imc::BitSlicedCrossbar(w, imc::CrossbarConfig{}, 2, 0),
-               core::Error);
 }
 
 }  // namespace

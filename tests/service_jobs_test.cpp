@@ -149,32 +149,9 @@ TEST_F(ServiceJobsTest, SmallJobsRunThroughTheService) {
   const auto mvm_outcome = service.submit(std::move(mvm_request));
   ASSERT_TRUE(mvm_outcome.admitted);
 
-  auto checksum = std::make_shared<double>(0.0);
-  ConvJobOptions conv;
-  conv.height = 16;
-  conv.width = 16;
-  core::JobRequest conv_request;
-  conv_request.body = make_conv_job(conv, checksum);
-  const auto conv_outcome = service.submit(std::move(conv_request));
-  ASSERT_TRUE(conv_outcome.admitted);
-
-  auto estimate = std::make_shared<scf::ModelInferenceEstimate>();
-  ScfJobOptions scf_options;
-  scf_options.model.seq_len = 32;
-  scf_options.model.d_model = 64;
-  scf_options.model.d_ff = 128;
-  core::JobRequest scf_request;
-  scf_request.body = make_scf_job(scf_options, estimate);
-  const auto scf_outcome = service.submit(std::move(scf_request));
-  ASSERT_TRUE(scf_outcome.admitted);
-
   EXPECT_EQ(wait_terminal(service, mvm_outcome.id).state, JobState::kDone);
-  EXPECT_EQ(wait_terminal(service, conv_outcome.id).state, JobState::kDone);
-  EXPECT_EQ(wait_terminal(service, scf_outcome.id).state, JobState::kDone);
   EXPECT_GE(*rmse, 0.0);
   EXPECT_TRUE(std::isfinite(*rmse));
-  EXPECT_TRUE(std::isfinite(*checksum));
-  EXPECT_GT(estimate->seconds_per_sequence, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -287,58 +264,6 @@ TEST_F(ServiceJobsTest, MvmBatchClientRejectsMisshapenInput) {
   // Distinct clients never share a key, even with identical options.
   MvmBatchClient other(options);
   EXPECT_NE(client.coalesce_key(), other.coalesce_key());
-}
-
-TEST_F(ServiceJobsTest, DseEvalRequestsDeduplicateWithinAGroup) {
-  DseEvalOptions options;
-  options.kernel = hls::Kernel("fir4");
-  const auto x = options.kernel.input();
-  const auto c = options.kernel.constant();
-  auto acc = options.kernel.mul(x, c);
-  for (int t = 0; t < 3; ++t) {
-    acc = options.kernel.add(acc, options.kernel.mul(x, c));
-  }
-  options.kernel.output(acc);
-  options.unroll = 2;
-
-  const hls::DesignPoint direct = hls::evaluate_design(
-      options.kernel, options.unroll, options.budget, options.config);
-
-  ServiceConfig config;
-  config.workers = 1;
-  config.coalesce_max_batch = 8;
-  CampaignService service(config);
-  auto gate = std::make_shared<JobGate>();
-  core::JobRequest blocker;
-  blocker.body = [gate](core::JobContext& ctx) { gate->wait_open(ctx); };
-  ASSERT_TRUE(service.submit(std::move(blocker)).admitted);
-  const auto start = std::chrono::steady_clock::now();
-  while (service.stats().running == 0 &&
-         std::chrono::steady_clock::now() - start < std::chrono::seconds(10)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  std::vector<core::JobId> ids;
-  std::vector<std::shared_ptr<hls::DesignPoint>> points;
-  for (int i = 0; i < 5; ++i) {
-    auto out = std::make_shared<hls::DesignPoint>();
-    points.push_back(out);
-    ids.push_back(service.submit_or_throw(make_dse_eval_request(options, out)));
-  }
-  gate->release();
-  service.drain();
-
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(service.poll(ids[i]).state, JobState::kDone) << "job " << i;
-    EXPECT_EQ(points[i]->total_latency_us, direct.total_latency_us)
-        << "job " << i;
-    EXPECT_EQ(points[i]->area_score, direct.area_score) << "job " << i;
-    EXPECT_EQ(points[i]->cost.fits, direct.cost.fits) << "job " << i;
-  }
-  // All five identical evaluations rode one coalesced group.
-  const core::ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.coalesced_batches, 1u);
-  EXPECT_EQ(stats.coalesced_jobs, 5u);
 }
 
 TEST_F(ServiceJobsTest, FaultCampaignJobCheckpointsAndCompletes) {
