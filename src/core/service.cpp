@@ -20,6 +20,11 @@ double seconds_between(Clock::time_point from, Clock::time_point to) {
 // a tenant flooding free jobs would monopolise the dispatchers.
 constexpr double kMinDrrCost = 1e-3;
 
+// Queue-fill fractions (of max_queue_depth) at which newly admitted jobs
+// degrade to kReduced / kMinimal.
+constexpr double kDegradeReducedAt = 0.5;
+constexpr double kDegradeMinimalAt = 0.8;
+
 }  // namespace
 
 const char* job_state_name(JobState state) {
@@ -180,14 +185,6 @@ CampaignService::CampaignService(ServiceConfig config,
   if (config_.max_queue_depth == 0) {
     throw Error("core::service", "max_queue_depth must be >= 1");
   }
-  if (config_.max_backlog_seconds < 0.0) {
-    throw Error("core::service", "max_backlog_seconds must be >= 0");
-  }
-  if (config_.degrade_reduced_at < 0.0 || config_.degrade_minimal_at < 0.0 ||
-      config_.degrade_reduced_at > config_.degrade_minimal_at) {
-    throw Error("core::service",
-                "degrade thresholds must satisfy 0 <= reduced <= minimal");
-  }
   if (config_.watchdog_timeout_seconds < 0.0 ||
       config_.watchdog_poll_seconds <= 0.0) {
     throw Error("core::service", "invalid watchdog configuration");
@@ -337,11 +334,6 @@ SubmitOutcome CampaignService::submit(JobRequest request) {
       outcome.retry_after_seconds = retry_after;
     };
 
-    const double backlog = backlog_seconds_locked();
-    const double mean_cost =
-        queued_ > 0 ? backlog * static_cast<double>(config_.workers) /
-                          static_cast<double>(queued_)
-                    : std::max(cost, kMinDrrCost);
     if (stopped_) {
       reject("shutdown", 0.0);
     } else if (request.deadline.finite() && request.deadline.expired()) {
@@ -354,32 +346,21 @@ SubmitOutcome CampaignService::submit(JobRequest request) {
              std::max(kMinDrrCost,
                       tenant.queued_cost / tenant_drain_rate_locked(tenant)));
     } else if (queued_ >= config_.max_queue_depth) {
-      // Hint: expected time for one queue slot to free up.
+      // Hint: expected time for one queue slot to free up, i.e. the mean
+      // queued cost spread over the workers.
       reject("queue_full",
-             std::max(kMinDrrCost,
-                      mean_cost / static_cast<double>(config_.workers)));
-    } else if (config_.max_backlog_seconds > 0.0 &&
-               backlog + cost / static_cast<double>(config_.workers) >
-                   config_.max_backlog_seconds) {
-      reject("backlog", std::max(kMinDrrCost,
-                                 backlog + cost /
-                                     static_cast<double>(config_.workers) -
-                                     config_.max_backlog_seconds));
+             std::max(kMinDrrCost, backlog_seconds_locked() /
+                                       static_cast<double>(queued_)));
     } else {
-      // Admit; assign the degradation tier from current pressure.
+      // Admit; assign the degradation tier from queue pressure.
       DegradeTier tier = DegradeTier::kFull;
       if (request.allow_degrade) {
         const double fill =
             static_cast<double>(queued_ + 1) /
             static_cast<double>(config_.max_queue_depth);
-        double pressure = fill;
-        if (config_.max_backlog_seconds > 0.0) {
-          pressure = std::max(
-              pressure, backlog / config_.max_backlog_seconds);
-        }
-        if (pressure >= config_.degrade_minimal_at) {
+        if (fill >= kDegradeMinimalAt) {
           tier = DegradeTier::kMinimal;
-        } else if (pressure >= config_.degrade_reduced_at) {
+        } else if (fill >= kDegradeReducedAt) {
           tier = DegradeTier::kReduced;
         }
       }
@@ -544,9 +525,8 @@ void CampaignService::dispatcher_main() {
       // Shed-before-execution: expired deadlines, and jobs whose remaining
       // budget cannot cover their estimated cost (doomed to miss the SLO).
       const bool expired = job->token.cancelled() && !job->cancel_requested;
-      const bool doomed =
-          config_.shed_doomed && job->deadline.finite() &&
-          job->deadline.remaining_seconds() < job->cost;
+      const bool doomed = job->deadline.finite() &&
+                          job->deadline.remaining_seconds() < job->cost;
       if (job->cancel_requested) {
         events.push_back(make_event(ServiceEventKind::kCancelled, *job));
         finalize_locked(job, JobState::kCancelled);
@@ -680,9 +660,8 @@ void CampaignService::run_group(std::vector<std::shared_ptr<Job>> group) {
         continue;
       }
       const bool expired = job->deadline.finite() && job->deadline.expired();
-      const bool doomed =
-          config_.shed_doomed && job->deadline.finite() &&
-          job->deadline.remaining_seconds() < job->cost;
+      const bool doomed = job->deadline.finite() &&
+                          job->deadline.remaining_seconds() < job->cost;
       if (expired || doomed) {
         events.push_back(make_event(ServiceEventKind::kShedExpired, *job));
         finalize_locked(job, JobState::kExpired);
@@ -884,7 +863,7 @@ void CampaignService::shed_expired_queued_locked(
           continue;
         }
         const bool expired = job->token.cancelled();
-        const bool doomed = config_.shed_doomed && job->deadline.finite() &&
+        const bool doomed = job->deadline.finite() &&
                             job->deadline.remaining_seconds() < job->cost;
         if (expired || doomed) {
           events->push_back(make_event(ServiceEventKind::kShedExpired, *job));

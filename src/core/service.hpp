@@ -11,9 +11,9 @@
 // service refuses, sheds, and degrades deliberately instead of queueing
 // unboundedly or starving tenants:
 //
-//   Admission control -- a bounded queue (depth and, optionally, estimated
-//     backlog seconds). Submitting past the bound is rejected explicitly
-//     with a retry-after hint; nothing buffers without limit.
+//   Admission control -- a bounded queue depth (global and, optionally,
+//     per tenant). Submitting past the bound is rejected explicitly with a
+//     retry-after hint; nothing buffers without limit.
 //   Fair share -- deficit-round-robin over per-tenant FIFO queues with
 //     integer weights, so one tenant's burst cannot starve the others. A
 //     tenant whose queue drains forfeits its banked deficit (standard DRR).
@@ -39,8 +39,9 @@
 //     early, and jobs whose deadline expired (or whose remaining budget is
 //     smaller than their estimated cost) are shed from the queue before
 //     execution ever starts.
-//   Graceful degradation -- under queue pressure newly admitted jobs are
-//     tagged with a DegradeTier; tier-aware bodies (src/service) switch to
+//   Graceful degradation -- newly admitted jobs are tagged with a
+//     DegradeTier from the queue fill (kReduced from half the depth,
+//     kMinimal from 80 %); tier-aware bodies (src/service) switch to
 //     cheaper modes (sampled campaigns, strided DSE, fewer re-read passes)
 //     and the tier is recorded in the job status.
 //   Watchdog -- running jobs report progress via JobContext::heartbeat();
@@ -224,7 +225,7 @@ struct JobRequest {
   /// SLO for this job; propagated into the body's CancelToken. A job whose
   /// deadline expires while queued is shed before execution.
   Deadline deadline;
-  /// Estimated execution cost in seconds. Drives backlog-based admission,
+  /// Estimated execution cost in seconds. Drives the retry-after hints,
   /// the doomed-to-miss-SLO shed check, and the DRR debit (clamped to a
   /// small minimum so zero-cost jobs still consume schedule share).
   double cost_estimate_seconds = 0.0;
@@ -245,8 +246,8 @@ struct SubmitOutcome {
   JobId id = 0;
   DegradeTier tier = DegradeTier::kFull;
   double retry_after_seconds = 0.0;
-  /// Rejection cause: "queue_full", "backlog", "tenant_quota", "expired",
-  /// or "shutdown". Empty when admitted.
+  /// Rejection cause: "queue_full", "tenant_quota", "expired", or
+  /// "shutdown". Empty when admitted.
   std::string reason;
 };
 
@@ -288,18 +289,10 @@ struct ServiceConfig {
   /// Dispatcher threads (>= 1). Bodies may additionally fan out on the
   /// shared core/parallel pool.
   std::size_t workers = 2;
-  /// Global bound on queued jobs; admission past it is rejected.
+  /// Global bound on queued jobs; admission past it is rejected. Newly
+  /// admitted jobs degrade to kReduced at half this depth and to kMinimal
+  /// at 80 % of it.
   std::size_t max_queue_depth = 64;
-  /// Bound on estimated backlog (sum of queued cost estimates divided by
-  /// workers, in seconds); 0 disables the backlog check.
-  double max_backlog_seconds = 0.0;
-  /// Queue-fill fractions (of max_queue_depth) at which newly admitted
-  /// jobs degrade to kReduced / kMinimal.
-  double degrade_reduced_at = 0.5;
-  double degrade_minimal_at = 0.8;
-  /// Shed queued jobs whose remaining deadline budget is smaller than
-  /// their cost estimate (already doomed to miss their SLO).
-  bool shed_doomed = true;
   /// Watchdog: a running job with no heartbeat for this long is cancelled
   /// and journaled (0 disables the watchdog).
   double watchdog_timeout_seconds = 0.0;

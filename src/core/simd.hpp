@@ -56,8 +56,8 @@ Isa set_active_isa(Isa isa);
 /// override is unit-testable without spawning processes.
 Isa resolve_isa(const char* env_value);
 
-/// Space-separated feature string of this CPU ("sse4.2 avx2 ..."), for the
-/// bench scoreboard JSON.
+/// Space-separated feature string of this CPU ("sse4.2 avx2 ..."), for
+/// bench headers.
 std::string cpu_features();
 
 // ---------------------------------------------------------------------------

@@ -9,17 +9,6 @@
 
 namespace icsc::hetero::dna {
 
-namespace {
-
-void check_q(const char* where, int q) {
-  if (q < 1 || q > 8) {
-    throw core::Error(where, "q-gram order must be in [1, 8]",
-                      "q=" + std::to_string(q));
-  }
-}
-
-}  // namespace
-
 namespace detail {
 
 void fill_qgram_histogram(const Strand& s, int q,
@@ -52,28 +41,16 @@ int length_lower_bound(const Strand& a, const Strand& b) {
                  static_cast<long long>(b.size())));
 }
 
-std::vector<std::uint16_t> qgram_histogram(const Strand& s, int q) {
-  check_q("qgram_histogram", q);
-  std::vector<std::uint16_t> hist;
-  detail::fill_qgram_histogram(s, q, hist);
-  return hist;
-}
-
-int qgram_histogram_lower_bound(const std::vector<std::uint16_t>& ha,
-                                const std::vector<std::uint16_t>& hb, int q) {
-  check_q("qgram_histogram_lower_bound", q);
-  if (ha.size() != hb.size()) {
-    throw core::Error("qgram_histogram_lower_bound",
-                      "histograms differ in size",
-                      std::to_string(ha.size()) + " vs " +
-                          std::to_string(hb.size()));
-  }
-  return detail::qgram_bound(ha.data(), hb.data(), ha.size(), q);
-}
-
 int qgram_lower_bound(const Strand& a, const Strand& b, int q) {
-  return qgram_histogram_lower_bound(qgram_histogram(a, q),
-                                     qgram_histogram(b, q), q);
+  if (q < 1 || q > 8) {
+    throw core::Error("qgram_lower_bound", "q-gram order must be in [1, 8]",
+                      "q=" + std::to_string(q));
+  }
+  std::vector<std::uint16_t> ha;
+  std::vector<std::uint16_t> hb;
+  detail::fill_qgram_histogram(a, q, ha);
+  detail::fill_qgram_histogram(b, q, hb);
+  return detail::qgram_bound(ha.data(), hb.data(), ha.size(), q);
 }
 
 }  // namespace icsc::hetero::dna

@@ -30,26 +30,17 @@ int length_lower_bound(const Strand& a, const Strand& b);
 /// q is in [1, 8].
 int qgram_lower_bound(const Strand& a, const Strand& b, int q);
 
-/// 4^q-bucket q-gram histogram of a strand (q in [1, 8] keeps the table
-/// <= 64Ki buckets; any other q throws core::Error). Cache these per
-/// cluster representative so repeated bound evaluations cost one L1 pass
-/// instead of a rebuild.
-std::vector<std::uint16_t> qgram_histogram(const Strand& s, int q);
-
-/// The q-gram lower bound evaluated on two precomputed histograms:
-/// L1(ha, hb) / (2q). Both histograms must have been built with the same q;
-/// throws core::Error when their sizes differ or q is not in [1, 8].
-int qgram_histogram_lower_bound(const std::vector<std::uint16_t>& ha,
-                                const std::vector<std::uint16_t>& hb, int q);
-
 namespace detail {
 
-/// qgram_histogram into caller-owned storage (resized to 4^q buckets), for
-/// scans that reuse one buffer per read. q in [1, 8]; unchecked.
+/// 4^q-bucket q-gram histogram of a strand into caller-owned storage, for
+/// scans that keep one buffer per read and one per cluster representative
+/// so each bound costs one L1 pass instead of a rebuild. q in [1, 8] keeps
+/// the table <= 64Ki buckets; unchecked.
 void fill_qgram_histogram(const Strand& s, int q,
                           std::vector<std::uint16_t>& hist);
 
-/// qgram_histogram_lower_bound on two n-bucket histograms; unchecked.
+/// The q-gram lower bound on two n-bucket histograms built with the same q:
+/// L1(a, b) / (2q); unchecked.
 int qgram_bound(const std::uint16_t* a, const std::uint16_t* b, std::size_t n,
                 int q);
 

@@ -226,38 +226,6 @@ TEST_F(ServiceTest, TenantQuotaRejectsIndependentlyOfGlobalQueue) {
   EXPECT_EQ(service.stats().tenants.at("quota").rejected, 1u);
 }
 
-TEST_F(ServiceTest, BacklogBoundRejectsCostlyWork) {
-  ServiceConfig config;
-  config.workers = 1;
-  config.max_queue_depth = 64;
-  config.max_backlog_seconds = 1.0;
-  CampaignService service(config);
-  auto gate = std::make_shared<Gate>();
-  JobRequest blocker;
-  blocker.body = [gate](JobContext& ctx) { gate->wait_open(ctx); };
-  ASSERT_TRUE(service.submit(std::move(blocker)).admitted);
-
-  bool saw_backlog_reject = false;
-  std::size_t admitted = 0;
-  for (int i = 0; i < 8; ++i) {
-    JobRequest request;
-    request.cost_estimate_seconds = 0.6;
-    request.body = [](JobContext&) {};
-    const SubmitOutcome outcome = service.submit(std::move(request));
-    if (outcome.admitted) {
-      ++admitted;
-    } else {
-      EXPECT_EQ(outcome.reason, "backlog");
-      EXPECT_GT(outcome.retry_after_seconds, 0.0);
-      saw_backlog_reject = true;
-    }
-  }
-  EXPECT_TRUE(saw_backlog_reject);
-  EXPECT_GE(admitted, 1u);
-  gate->release();
-  service.drain();
-}
-
 TEST_F(ServiceTest, DeficitRoundRobinHonoursWeights) {
   ServiceConfig config;
   config.workers = 1;
@@ -357,7 +325,6 @@ TEST_F(ServiceTest, ExpiredQueuedJobsAreShedBeforeExecution) {
 TEST_F(ServiceTest, DoomedJobsAreShedWhenBudgetCannotFit) {
   ServiceConfig config;
   config.workers = 1;
-  config.shed_doomed = true;
   CampaignService service(config);
   auto executed = std::make_shared<std::atomic<bool>>(false);
   JobRequest doomed;
@@ -375,8 +342,6 @@ TEST_F(ServiceTest, DegradeTiersTrackQueuePressure) {
   ServiceConfig config;
   config.workers = 1;
   config.max_queue_depth = 10;
-  config.degrade_reduced_at = 0.5;
-  config.degrade_minimal_at = 0.8;
   CampaignService service(config);
   auto gate = std::make_shared<Gate>();
   JobRequest blocker;
@@ -512,7 +477,6 @@ TEST_F(ServiceTest, TerminalJobsReleaseTheirBodies) {
   // not keep its body's captures alive. One sentinel per terminal path.
   ServiceConfig config;
   config.workers = 1;
-  config.shed_doomed = true;
   config.watchdog_timeout_seconds = 0.05;
   config.watchdog_poll_seconds = 0.005;
   CampaignService service(config);
@@ -658,10 +622,6 @@ TEST_F(ServiceTest, InvalidConfigsThrow) {
   ServiceConfig no_depth;
   no_depth.max_queue_depth = 0;
   EXPECT_THROW(CampaignService{no_depth}, Error);
-  ServiceConfig bad_tiers;
-  bad_tiers.degrade_reduced_at = 0.9;
-  bad_tiers.degrade_minimal_at = 0.5;
-  EXPECT_THROW(CampaignService{bad_tiers}, Error);
   ServiceConfig no_batch;
   no_batch.coalesce_max_batch = 0;
   EXPECT_THROW(CampaignService{no_batch}, Error);
@@ -844,7 +804,6 @@ TEST_F(ServiceTest, BatchWindowRespectsEarliestMemberDeadline) {
   config.workers = 1;
   config.coalesce_max_batch = 8;
   config.coalesce_max_wait_seconds = 30.0;  // would dwarf the deadline
-  config.shed_doomed = false;  // zero cost estimate: nothing to shed on
   CampaignService service(config);
 
   JobRequest request;

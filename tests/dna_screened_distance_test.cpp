@@ -6,6 +6,7 @@
 // full-DP reference lives in dna_prefilter_test.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <string>
 #include <vector>
@@ -111,10 +112,13 @@ TEST(ScreenedDistance, QgramHistogramBoundNeverExceedsTrueDistance) {
   const auto pool = strand_pool(rng);
   for (const int q : {2, 4}) {
     for (std::size_t i = 0; i < pool.size(); ++i) {
-      const auto hi = dna::qgram_histogram(pool[i], q);
+      std::vector<std::uint16_t> hi;
+      dna::detail::fill_qgram_histogram(pool[i], q, hi);
       for (std::size_t j = i; j < pool.size(); ++j) {
-        const auto hj = dna::qgram_histogram(pool[j], q);
-        const int bound = dna::qgram_histogram_lower_bound(hi, hj, q);
+        std::vector<std::uint16_t> hj;
+        dna::detail::fill_qgram_histogram(pool[j], q, hj);
+        const int bound =
+            dna::detail::qgram_bound(hi.data(), hj.data(), hi.size(), q);
         const int exact = dna::levenshtein_full(pool[i], pool[j]);
         ASSERT_LE(bound, exact)
             << "q-gram bound overestimated pair (" << i << ", " << j
