@@ -8,11 +8,13 @@
 // relaxed load plus a switch.
 #include "core/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
 
+#include "core/parallel.hpp"
 #include "core/simd_dispatch.hpp"
 #include "core/simd_scalar.hpp"
 
@@ -181,6 +183,80 @@ void tap_panel_axpy_f32_f64(const float* const* rows, const double* weights,
 #endif
     default:
       return scalar_impl::tap_panel_axpy_f32_f64(rows, weights, taps, acc, n);
+  }
+}
+
+std::size_t gemm_packed_size(std::size_t k, std::size_t n) {
+  return (n + kGemmPanel - 1) / kGemmPanel * k * kGemmPanel;
+}
+
+void gemm_pack_b(const float* b, std::size_t row_stride,
+                 std::size_t col_stride, std::size_t k, std::size_t n,
+                 float* packed) {
+  for (std::size_t j0 = 0; j0 < n; j0 += kGemmPanel) {
+    const std::size_t cols = std::min(kGemmPanel, n - j0);
+    for (std::size_t p = 0; p < k; ++p) {
+      const float* row = b + p * row_stride + j0 * col_stride;
+      for (std::size_t q = 0; q < cols; ++q) packed[q] = row[q * col_stride];
+      std::fill(packed + cols, packed + kGemmPanel, 0.0F);
+      packed += kGemmPanel;
+    }
+  }
+}
+
+void gemm_f32(const float* a, std::size_t lda, const float* packed_b,
+              std::size_t m, std::size_t k, std::size_t n, float* c,
+              std::size_t ldc, bool bf16_store) {
+  using PanelsFn = void (*)(const float*, std::size_t, const float*,
+                            std::size_t, std::size_t, std::size_t, float*,
+                            std::size_t, bool);
+  PanelsFn panels_fn = scalar_impl::gemm_f32_panels;
+  switch (active_isa()) {
+#if defined(__x86_64__) || defined(__i386__)
+    case Isa::kAvx2:
+      panels_fn = avx2::gemm_f32_panels;
+      break;
+    case Isa::kSse4:
+      panels_fn = sse4::gemm_f32_panels;
+      break;
+#endif
+#if defined(__aarch64__)
+    case Isa::kNeon:
+      panels_fn = neon::gemm_f32_panels;
+      break;
+#endif
+    default:
+      break;
+  }
+  // Chunks of whole panels, each at least kChunkMacs multiply-adds, so a
+  // transformer's 256 x 64 per-head GEMMs run inline and the projections
+  // and FFN split 8 to 32 ways. Every output is one chain computed by one
+  // thread, so the split cannot change bits.
+  constexpr std::size_t kChunkMacs = std::size_t{1} << 23;
+  const std::size_t panels = (n + kGemmPanel - 1) / kGemmPanel;
+  const std::size_t panel_macs = std::max<std::size_t>(1, m * k * kGemmPanel);
+  const std::size_t grain = (kChunkMacs + panel_macs - 1) / panel_macs;
+  parallel_for(0, panels, grain, [&](std::size_t first, std::size_t last) {
+    const std::size_t j0 = first * kGemmPanel;
+    panels_fn(a, lda, packed_b + first * k * kGemmPanel, m, k,
+              std::min(n, last * kGemmPanel) - j0, c + j0, ldc, bf16_store);
+  });
+}
+
+void gemm_reference(const float* a, std::size_t lda, const float* b,
+                    std::size_t row_stride, std::size_t col_stride,
+                    std::size_t m, std::size_t k, std::size_t n, float* c,
+                    std::size_t ldc, bool bf16_store) {
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = 0.0F;  // fp32 accumulator, as in the tensor engine
+      for (std::size_t p = 0; p < k; ++p) {
+        const float product =
+            a[i * lda + p] * b[p * row_stride + j * col_stride];
+        acc += product;
+      }
+      c[i * ldc + j] = bf16_store ? bf16_round(acc) : acc;
+    }
   }
 }
 

@@ -93,6 +93,47 @@ void quantize_fixed_f32(float* data, std::size_t n, int int_bits,
                         int frac_bits);
 
 // ---------------------------------------------------------------------------
+// Packed-panel fp32 GEMM (the bf16 transformer forward, Sec. VII).
+// ---------------------------------------------------------------------------
+
+/// Columns per packed B panel. The same on every ISA, so a packed operand
+/// stays valid across set_active_isa.
+inline constexpr std::size_t kGemmPanel = 16;
+
+/// Floats in the packed form of a k x n B operand: ceil(n / 16) panels of
+/// k rows by 16 columns, laid out [n/16][k][16], with the last panel's
+/// columns past n zero.
+std::size_t gemm_packed_size(std::size_t k, std::size_t n);
+
+/// Packs the k x n operand B, element (p, j) read at
+/// b[p * row_stride + j * col_stride], into `packed`
+/// (gemm_packed_size(k, n) floats). A [n, k] weight W packs as B = W^T
+/// with row_stride 1 and col_stride k.
+void gemm_pack_b(const float* b, std::size_t row_stride,
+                 std::size_t col_stride, std::size_t k, std::size_t n,
+                 float* packed);
+
+/// C = A B for A [m, k] (row i at a + i * lda) and a packed B [k, n]
+/// (gemm_pack_b), with row i of C at c + i * ldc. Every C(i, j) is the
+/// fp32 chain acc = 0; acc += A(i, p) * B(p, j) for ascending p (separate
+/// IEEE multiply and add, lanes over output columns), rounded through
+/// bf16 on store when `bf16_store`. Runs under core::parallel_for over
+/// panel ranges, in register tiles of up to 4 rows x 16 columns; the
+/// output is the same bits on every ISA and at every thread count.
+void gemm_f32(const float* a, std::size_t lda, const float* packed_b,
+              std::size_t m, std::size_t k, std::size_t n, float* c,
+              std::size_t ldc, bool bf16_store);
+
+/// The scalar dot-product loop gemm_f32 replaced, on an unpacked B
+/// addressed as in gemm_pack_b: one serial chain per output, with no
+/// packing, tiling or threads. Retained as the equivalence oracle for the
+/// tests and the old-path baseline for bench_kernels.
+void gemm_reference(const float* a, std::size_t lda, const float* b,
+                    std::size_t row_stride, std::size_t col_stride,
+                    std::size_t m, std::size_t k, std::size_t n, float* c,
+                    std::size_t ldc, bool bf16_store);
+
+// ---------------------------------------------------------------------------
 // Quantised conv tap primitives (approximate-arithmetic datapath).
 // ---------------------------------------------------------------------------
 

@@ -20,6 +20,10 @@
                               double* acc, std::size_t n);                   \
   void quantize_fixed_f32(float* data, std::size_t n, int int_bits,          \
                           int frac_bits);                                    \
+  void gemm_f32_panels(const float* a, std::size_t lda,                      \
+                       const float* packed_b, std::size_t m, std::size_t k,  \
+                       std::size_t n, float* c, std::size_t ldc,             \
+                       bool bf16_store);                                     \
   void qtap_exact(const std::int32_t* x, std::int32_t w, int loa_bits,       \
                   std::int64_t* acc, std::size_t n);                         \
   void qtap_truncated(const std::int32_t* x, std::int32_t w, int trunc_bits, \

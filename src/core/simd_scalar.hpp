@@ -21,6 +21,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+
+#include "core/bfloat16.hpp"
+#include "core/simd.hpp"
 
 namespace icsc::core::simd::scalar_impl {
 
@@ -94,6 +98,59 @@ inline void tap_panel_axpy_f32_f64(const float* const* rows,
                                    double* acc, std::size_t n) {
   for (std::size_t t = 0; t < taps; ++t) {
     axpy_f32_f64(weights[t], rows[t], acc, n);
+  }
+}
+
+/// kRows rows of C by one 16-column panel. The accumulators are GCC/Clang
+/// generic 4-float vectors: plain C++ lane arithmetic (one IEEE multiply
+/// and one add per lane) that the compiler keeps in registers and lowers
+/// to the baseline target, where plain float arrays were left in memory.
+template <std::size_t kRows>
+inline void gemm_tile(const float* a, std::size_t lda, const float* b,
+                      std::size_t k, float* c, std::size_t ldc,
+                      std::size_t cols, bool bf16_store) {
+  using F32x4 = float __attribute__((vector_size(16)));
+  constexpr std::size_t kVecs = kGemmPanel / 4;
+  F32x4 acc[kRows][kVecs] = {};
+  for (std::size_t p = 0; p < k; ++p, b += kGemmPanel) {
+    F32x4 row[kVecs];
+    std::memcpy(row, b, sizeof row);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const float x = a[r * lda + p];
+      const F32x4 splat = {x, x, x, x};
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        const F32x4 product = splat * row[v];  // own statement: never fused
+        acc[r][v] += product;
+      }
+    }
+  }
+  for (std::size_t r = 0; r < kRows; ++r) {
+    float out[kGemmPanel];
+    std::memcpy(out, acc[r], sizeof out);
+    for (std::size_t q = 0; q < cols; ++q) {
+      c[r * ldc + q] = bf16_store ? bf16_round(out[q]) : out[q];
+    }
+  }
+}
+
+/// The packed-panel GEMM without ISA intrinsics: the same panel walk and
+/// per-output chain as the vector variants, in 2-row tiles.
+inline void gemm_f32_panels(const float* a, std::size_t lda,
+                            const float* packed_b, std::size_t m,
+                            std::size_t k, std::size_t n, float* c,
+                            std::size_t ldc, bool bf16_store) {
+  for (std::size_t j0 = 0; j0 < n; j0 += kGemmPanel) {
+    const std::size_t cols = std::min(kGemmPanel, n - j0);
+    std::size_t i = 0;
+    for (; i + 2 <= m; i += 2) {
+      gemm_tile<2>(a + i * lda, lda, packed_b, k, c + i * ldc + j0, ldc, cols,
+                   bf16_store);
+    }
+    if (i < m) {
+      gemm_tile<1>(a + i * lda, lda, packed_b, k, c + i * ldc + j0, ldc, cols,
+                   bf16_store);
+    }
+    packed_b += k * kGemmPanel;
   }
 }
 

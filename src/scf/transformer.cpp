@@ -1,12 +1,13 @@
 #include "scf/transformer.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "core/bfloat16.hpp"
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "core/simd.hpp"
+#include "core/trace.hpp"
 
 namespace icsc::scf {
 
@@ -17,27 +18,14 @@ void round_tensor_bf16(core::TensorF& t, bool enabled) {
   t.transform([](float v) { return core::bf16_round(v); });
 }
 
-/// C = A B^T with A [m, k], B [n, k] (weight layout), fp32 accumulation.
-core::TensorF gemm_bt(const core::TensorF& a, const core::TensorF& b,
-                      bool bf16) {
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
-  assert(b.dim(1) == k);
+/// C = A W^T for A [m, k] and a weight W [n, k] held as packed panels.
+core::TensorF linear(const core::TensorF& a,
+                     const core::aligned_vector<float>& w, std::size_t n,
+                     bool bf16) {
+  const std::size_t m = a.dim(0), k = a.dim(1);
   core::TensorF c({m, n});
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      float acc = 0.0F;  // fp32 accumulator, as in the tensor engine
-      for (std::size_t p = 0; p < k; ++p) acc += a(i, p) * b(j, p);
-      c(i, j) = acc;
-    }
-  }
-  round_tensor_bf16(c, bf16);
-  return c;
-}
-
-/// C = A B with A [m, k], B [k, n].
-core::TensorF gemm(const core::TensorF& a, const core::TensorF& b, bool bf16) {
-  auto c = core::matmul(a, b);
-  round_tensor_bf16(c, bf16);
+  core::simd::gemm_f32(a.data().data(), k, w.data(), m, k, n,
+                       c.data().data(), n, bf16);
   return c;
 }
 
@@ -93,11 +81,27 @@ void gelu(core::TensorF& t, bool bf16) {
   round_tensor_bf16(t, bf16);
 }
 
-core::TensorF random_weights(std::size_t out, std::size_t in, core::Rng& rng) {
-  core::TensorF w({out, in});
+/// A weight [out, in] drawn row by row from `rng`, bf16-rounded when
+/// `bf16`, and kept only as the packed panels of W^T (core::simd GEMM
+/// layout). Rows are drawn and packed one panel at a time, so no unpacked
+/// copy of the whole weight ever exists.
+core::aligned_vector<float> random_packed_weights(std::size_t out,
+                                                  std::size_t in,
+                                                  core::Rng& rng, bool bf16) {
+  using core::simd::kGemmPanel;
+  core::aligned_vector<float> packed(core::simd::gemm_packed_size(in, out));
+  std::vector<float> rows(kGemmPanel * in);
   const double sigma = 1.0 / std::sqrt(static_cast<double>(in));
-  for (auto& v : w.data()) v = static_cast<float>(rng.normal(0.0, sigma));
-  return w;
+  for (std::size_t j0 = 0; j0 < out; j0 += kGemmPanel) {
+    const std::size_t cols = std::min(kGemmPanel, out - j0);
+    for (std::size_t i = 0; i < cols * in; ++i) {
+      const auto v = static_cast<float>(rng.normal(0.0, sigma));
+      rows[i] = bf16 ? core::bf16_round(v) : v;
+    }
+    core::simd::gemm_pack_b(rows.data(), 1, in, in, cols,
+                            packed.data() + j0 * in);
+  }
+  return packed;
 }
 
 void trace_gemm(std::vector<KernelCall>* trace, std::size_t m, std::size_t k,
@@ -162,21 +166,18 @@ TransformerBlock::TransformerBlock(const TransformerConfig& config)
     : config_(config) {
   config.validate();
   core::Rng rng(config.seed);
-  wq_ = random_weights(config.d_model, config.d_model, rng);
-  wk_ = random_weights(config.d_model, config.d_model, rng);
-  wv_ = random_weights(config.d_model, config.d_model, rng);
-  wo_ = random_weights(config.d_model, config.d_model, rng);
-  w1_ = random_weights(config.d_ff, config.d_model, rng);
-  w2_ = random_weights(config.d_model, config.d_ff, rng);
+  const std::size_t d = config.d_model;
+  const bool bf16 = config.use_bf16;
+  wq_ = random_packed_weights(d, d, rng, bf16);
+  wk_ = random_packed_weights(d, d, rng, bf16);
+  wv_ = random_packed_weights(d, d, rng, bf16);
+  wo_ = random_packed_weights(d, d, rng, bf16);
+  w1_ = random_packed_weights(config.d_ff, d, rng, bf16);
+  w2_ = random_packed_weights(d, config.d_ff, rng, bf16);
   ln1_gain_.assign(config.d_model, 1.0F);
   ln1_bias_.assign(config.d_model, 0.0F);
   ln2_gain_.assign(config.d_model, 1.0F);
   ln2_bias_.assign(config.d_model, 0.0F);
-  if (config.use_bf16) {
-    for (auto* w : {&wq_, &wk_, &wv_, &wo_, &w1_, &w2_}) {
-      round_tensor_bf16(*w, true);
-    }
-  }
 }
 
 core::TensorF TransformerBlock::forward(const core::TensorF& input,
@@ -196,43 +197,49 @@ core::TensorF TransformerBlock::forward(const core::TensorF& input,
   core::TensorF x = input;
   round_tensor_bf16(x, bf16);
 
-  // QKV projections.
-  const auto q = gemm_bt(x, wq_, bf16);
-  trace_gemm(trace, s, d, d, "q_proj");
-  const auto k_mat = gemm_bt(x, wk_, bf16);
-  trace_gemm(trace, s, d, d, "k_proj");
-  const auto v = gemm_bt(x, wv_, bf16);
-  trace_gemm(trace, s, d, d, "v_proj");
-
-  // Attention per head.
-  core::TensorF context({s, d});
-  const float scale = 1.0F / std::sqrt(static_cast<float>(dh));
-  for (std::size_t head = 0; head < h; ++head) {
-    const std::size_t off = head * dh;
-    core::TensorF qh({s, dh}), kh({s, dh}), vh({s, dh});
-    for (std::size_t r = 0; r < s; ++r) {
-      for (std::size_t c = 0; c < dh; ++c) {
-        qh(r, c) = q(r, off + c);
-        kh(r, c) = k_mat(r, off + c);
-        vh(r, c) = v(r, off + c);
-      }
-    }
-    auto scores = gemm_bt(qh, kh, bf16);  // [s, s]
-    trace_gemm(trace, s, dh, s, "attn_scores_h" + std::to_string(head));
-    scores *= scale;
-    round_tensor_bf16(scores, bf16);
-    softmax_rows(scores, bf16, config_.softmax_override);
-    trace_other(trace, KernelCall::Kind::kSoftmax, s * s,
-                "softmax_h" + std::to_string(head));
-    const auto ctx = gemm(scores, vh, bf16);  // [s, dh]
-    trace_gemm(trace, s, s, dh, "attn_context_h" + std::to_string(head));
-    for (std::size_t r = 0; r < s; ++r) {
-      for (std::size_t c = 0; c < dh; ++c) context(r, off + c) = ctx(r, c);
-    }
+  core::TensorF q, k_mat, v;
+  {
+    ICSC_TRACE_SPAN("scf/qkv_proj");
+    q = linear(x, wq_, d, bf16);
+    trace_gemm(trace, s, d, d, "q_proj");
+    k_mat = linear(x, wk_, d, bf16);
+    trace_gemm(trace, s, d, d, "k_proj");
+    v = linear(x, wv_, d, bf16);
+    trace_gemm(trace, s, d, d, "v_proj");
   }
 
-  auto attn_out = gemm_bt(context, wo_, bf16);
-  trace_gemm(trace, s, d, d, "out_proj");
+  // Attention per head. The head's Q columns are a strided view of q, its
+  // K^T and V are packed straight from k_mat and v, and its context lands
+  // in its columns of `context` through the row stride d.
+  core::TensorF context({s, d});
+  core::TensorF attn_out;
+  {
+    ICSC_TRACE_SPAN("scf/attention");
+    const float scale = 1.0F / std::sqrt(static_cast<float>(dh));
+    core::aligned_vector<float> kt_h(core::simd::gemm_packed_size(dh, s));
+    core::aligned_vector<float> v_h(core::simd::gemm_packed_size(s, dh));
+    core::TensorF scores({s, s});
+    for (std::size_t head = 0; head < h; ++head) {
+      const std::size_t off = head * dh;
+      core::simd::gemm_pack_b(k_mat.data().data() + off, 1, d, dh, s,
+                              kt_h.data());
+      core::simd::gemm_pack_b(v.data().data() + off, d, 1, s, dh,
+                              v_h.data());
+      core::simd::gemm_f32(q.data().data() + off, d, kt_h.data(), s, dh, s,
+                           scores.data().data(), s, bf16);
+      trace_gemm(trace, s, dh, s, "attn_scores_h" + std::to_string(head));
+      scores *= scale;
+      round_tensor_bf16(scores, bf16);
+      softmax_rows(scores, bf16, config_.softmax_override);
+      trace_other(trace, KernelCall::Kind::kSoftmax, s * s,
+                  "softmax_h" + std::to_string(head));
+      core::simd::gemm_f32(scores.data().data(), s, v_h.data(), s, s, dh,
+                           context.data().data() + off, d, bf16);
+      trace_gemm(trace, s, s, dh, "attn_context_h" + std::to_string(head));
+    }
+    attn_out = linear(context, wo_, d, bf16);
+    trace_gemm(trace, s, d, d, "out_proj");
+  }
 
   // Residual + layer norm.
   attn_out += x;
@@ -242,12 +249,16 @@ core::TensorF TransformerBlock::forward(const core::TensorF& input,
   trace_other(trace, KernelCall::Kind::kLayerNorm, s * d, "ln1");
 
   // FFN.
-  auto hidden = gemm_bt(attn_out, w1_, bf16);  // [s, d_ff]
-  trace_gemm(trace, s, d, config_.d_ff, "ffn_up");
-  gelu(hidden, bf16);
-  trace_other(trace, KernelCall::Kind::kGelu, s * config_.d_ff, "gelu");
-  auto out = gemm_bt(hidden, w2_, bf16);  // [s, d]
-  trace_gemm(trace, s, config_.d_ff, d, "ffn_down");
+  core::TensorF out;
+  {
+    ICSC_TRACE_SPAN("scf/ffn");
+    auto hidden = linear(attn_out, w1_, config_.d_ff, bf16);  // [s, d_ff]
+    trace_gemm(trace, s, d, config_.d_ff, "ffn_up");
+    gelu(hidden, bf16);
+    trace_other(trace, KernelCall::Kind::kGelu, s * config_.d_ff, "gelu");
+    out = linear(hidden, w2_, d, bf16);  // [s, d]
+    trace_gemm(trace, s, config_.d_ff, d, "ffn_down");
+  }
   out += attn_out;
   round_tensor_bf16(out, bf16);
   trace_other(trace, KernelCall::Kind::kResidualAdd, s * d, "residual2");
@@ -265,7 +276,11 @@ double TransformerBlock::flops() const {
 }
 
 float max_abs_diff(const core::TensorF& a, const core::TensorF& b) {
-  assert(a.same_shape(b));
+  if (!a.same_shape(b)) {
+    throw core::Error("scf::max_abs_diff", "tensors must have equal shapes",
+                      core::shape_to_string(a.shape()) + " vs " +
+                          core::shape_to_string(b.shape()));
+  }
   float worst = 0.0F;
   for (std::size_t i = 0; i < a.numel(); ++i) {
     worst = std::max(worst, std::abs(a[i] - b[i]));

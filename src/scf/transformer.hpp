@@ -5,7 +5,9 @@
 // attention, softmax, residual + layer norm, GELU FFN -- with bf16 storage
 // rounding on every tensor (fp32 accumulation inside GEMMs, matching the
 // tensor engine), and records the kernel sequence with sizes so the CU and
-// fabric models can time it. Numerical correctness is validated against an
+// fabric models can time it. Every GEMM runs on core::simd::gemm_f32 over
+// weights packed once at construction; the output is the same bits on
+// every SIMD ISA and thread count. Numerical correctness is validated against an
 // fp32 reference in the test suite. The timing models need only the
 // shapes, which kernel_trace() gives in closed form; forward()'s recorded
 // trace is its oracle.
@@ -72,12 +74,15 @@ public:
 
 private:
   TransformerConfig config_;
-  core::TensorF wq_, wk_, wv_, wo_;   // [d_model, d_model]
-  core::TensorF w1_, w2_;             // FFN [d_ff, d_model], [d_model, d_ff]
+  // Weights W [out, in] held only as the packed panels of W^T
+  // (core::simd::gemm_pack_b), bf16-rounded when use_bf16.
+  core::aligned_vector<float> wq_, wk_, wv_, wo_;  // [d_model, d_model]
+  core::aligned_vector<float> w1_, w2_;  // [d_ff, d_model], [d_model, d_ff]
   std::vector<float> ln1_gain_, ln1_bias_, ln2_gain_, ln2_bias_;
 };
 
 /// Max absolute elementwise difference between two equal-shape tensors.
+/// Throws core::Error when the shapes differ.
 float max_abs_diff(const core::TensorF& a, const core::TensorF& b);
 
 /// Deterministic random activations [seq_len, d_model] in [-1, 1].

@@ -653,12 +653,11 @@ TEST(Robustness, TensorShapeMismatchesThrowStructuredErrors) {
   EXPECT_THROW(a -= b, core::Error);
   const std::vector<float> x(5, 1.0F);
   EXPECT_THROW(core::matvec(a, std::span<const float>(x)), core::Error);
-  EXPECT_THROW(core::matmul(a, a), core::Error);
   try {
-    core::matmul(a, a);
-    FAIL() << "matmul must throw on inner-dimension mismatch";
+    core::matvec(a, std::span<const float>(x));
+    FAIL() << "matvec must throw on a vector-length mismatch";
   } catch (const core::Error& e) {
-    EXPECT_EQ(e.where(), "core::matmul");
+    EXPECT_EQ(e.where(), "core::matvec");
     EXPECT_NE(std::string(e.what()).find("[2, 3]"), std::string::npos);
   }
 
@@ -691,6 +690,18 @@ TEST(Robustness, TensorShapeMismatchesThrowStructuredErrors) {
   const scf::TransformerBlock block(block_config);
   EXPECT_THROW(block.forward(core::TensorF({4, 9}, 0.5F)), core::Error);
   EXPECT_THROW(block.forward(core::TensorF({32}, 0.5F)), core::Error);
+  // max_abs_diff walks both tensors by flat index; a shape mismatch must
+  // throw in Release too, not read past the smaller one.
+  const core::TensorF y = block.forward(core::TensorF({4, 8}, 0.5F));
+  EXPECT_EQ(scf::max_abs_diff(y, y), 0.0F);
+  try {
+    scf::max_abs_diff(y, core::TensorF({4, 9}, 0.5F));
+    FAIL() << "max_abs_diff must throw on a shape mismatch";
+  } catch (const core::Error& e) {
+    EXPECT_EQ(e.where(), "scf::max_abs_diff");
+    EXPECT_NE(std::string(e.what()).find("[4, 9]"), std::string::npos);
+  }
+  EXPECT_THROW(scf::max_abs_diff(y, core::TensorF({32}, 0.5F)), core::Error);
 
   // An ALAP deadline below the critical path would give negative starts.
   const auto fir = hls::make_fir_kernel(8);

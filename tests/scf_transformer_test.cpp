@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/parallel.hpp"
+#include "core/simd.hpp"
 
 namespace icsc::scf {
 namespace {
@@ -214,6 +219,69 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<TraceCase>& info) {
       return info.param.name;
     });
+
+bool same_bits(const core::TensorF& a, const core::TensorF& b) {
+  if (!a.same_shape(b)) return false;
+  for (std::size_t i = 0; i < a.numel(); ++i) {
+    if (std::bit_cast<std::uint32_t>(a[i]) !=
+        std::bit_cast<std::uint32_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The forward's GEMMs run on core::simd::gemm_f32, which picks its ISA at
+/// runtime and splits large GEMMs over the pool; neither may move a bit.
+/// 64 x 256 with d_ff 1024 splits both FFN GEMMs in two; 13 x 24 with
+/// three 8-wide heads and d_ff 40 leaves every panel and row tile ragged.
+TEST(Transformer, ForwardBitIdenticalAcrossIsasAndThreadCounts) {
+  using core::simd::Isa;
+  std::vector<Isa> isas{Isa::kScalar};
+  for (const Isa isa : {Isa::kSse4, Isa::kAvx2, Isa::kNeon}) {
+    if (core::simd::isa_supported(isa)) isas.push_back(isa);
+  }
+  struct Restore {
+    ~Restore() {
+      core::simd::set_active_isa(core::simd::detected_isa());
+      core::set_parallel_threads(0);
+    }
+  } restore;
+  for (const auto& base : {sized(64, 256, 4, 1024, true),
+                           sized(13, 24, 3, 40, true)}) {
+    for (const bool bf16 : {true, false}) {
+      for (const bool override_softmax : {false, true}) {
+        TransformerConfig cfg = base;
+        cfg.use_bf16 = bf16;
+        if (override_softmax) cfg = with_override(cfg);
+        const TransformerBlock block(cfg);
+        const auto x = make_activations(cfg, 23);
+        core::simd::set_active_isa(Isa::kScalar);
+        core::TensorF expected;
+        {
+          const core::ScopedSerial serial;
+          expected = block.forward(x);
+        }
+        for (const Isa isa : isas) {
+          core::simd::set_active_isa(isa);
+          for (const std::size_t threads : {0, 1, 2, 3, 4}) {
+            std::unique_ptr<core::ScopedSerial> serial;
+            if (threads == 0) {
+              serial = std::make_unique<core::ScopedSerial>();
+            } else {
+              core::set_parallel_threads(threads);
+            }
+            EXPECT_TRUE(same_bits(block.forward(x), expected))
+                << cfg.seq_len << "x" << cfg.d_model << " bf16=" << bf16
+                << " override=" << override_softmax
+                << " isa=" << core::simd::isa_name(isa)
+                << " threads=" << threads;
+          }
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace icsc::scf
