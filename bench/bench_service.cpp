@@ -367,7 +367,6 @@ bool experiment_watchdog_resume(const std::string& dir) {
   core::ServiceConfig config;
   config.workers = 1;
   config.watchdog_timeout_seconds = 0.08;
-  config.watchdog_poll_seconds = 0.005;
   config.journal_path = dir + "/service_events.journal";
   config.scratch_dir = dir;
   core::CampaignService service(config);

@@ -319,13 +319,6 @@ sampling::Estimate campaign_metric_estimate(
   return sampling::mean_estimate(stats, confidence);
 }
 
-sampling::Estimate campaign_latency_estimate(
-    const std::vector<TrialResult>& results, double confidence) {
-  sampling::OnlineStats stats;
-  for (const auto& r : results) stats.push(r.latency);
-  return sampling::mean_estimate(stats, confidence);
-}
-
 bool campaign_results_identical(const std::vector<TrialResult>& a,
                                 const std::vector<TrialResult>& b) {
   if (a.size() != b.size()) return false;

@@ -221,12 +221,9 @@ private:
 bool campaign_results_identical(const std::vector<TrialResult>& a,
                                 const std::vector<TrialResult>& b);
 
-/// Student-t interval on the mean metric (resp. latency) of a trial list:
-/// what the early-stop validation modes compare the exhaustive oracle
-/// against.
+/// Student-t interval on the mean metric of a trial list: what the
+/// early-stop validation modes compare the exhaustive oracle against.
 sampling::Estimate campaign_metric_estimate(
-    const std::vector<TrialResult>& results, double confidence);
-sampling::Estimate campaign_latency_estimate(
     const std::vector<TrialResult>& results, double confidence);
 
 }  // namespace icsc::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <string>
 
 #include "core/error.hpp"
@@ -85,26 +84,6 @@ CsrGraph make_rmat_graph(int scale, double avg_degree, std::uint64_t seed) {
   }
   Rng weights = rng.split();
   return csr_from_edges(num_vertices, std::move(edges), &weights);
-}
-
-std::vector<std::int32_t> bfs_levels(const CsrGraph& g, std::uint32_t root) {
-  std::vector<std::int32_t> level(g.num_vertices(), -1);
-  if (root >= g.num_vertices()) return level;
-  std::queue<std::uint32_t> frontier;
-  level[root] = 0;
-  frontier.push(root);
-  while (!frontier.empty()) {
-    const std::uint32_t v = frontier.front();
-    frontier.pop();
-    for (std::uint32_t e = g.row_offsets[v]; e < g.row_offsets[v + 1]; ++e) {
-      const std::uint32_t w = g.column_indices[e];
-      if (level[w] < 0) {
-        level[w] = level[v] + 1;
-        frontier.push(w);
-      }
-    }
-  }
-  return level;
 }
 
 std::vector<float> spmv(const CsrGraph& g, const std::vector<float>& x) {

@@ -47,9 +47,6 @@ CsrGraph make_uniform_graph(std::size_t num_vertices, double avg_degree,
 CsrGraph make_rmat_graph(int scale, double avg_degree, std::uint64_t seed);
 
 /// Reference kernels the accelerators are validated against.
-/// BFS levels from a root (-1 for unreachable).
-std::vector<std::int32_t> bfs_levels(const CsrGraph& g, std::uint32_t root);
-
 /// y = A x over the weighted adjacency (SpMV). Throws icsc::core::Error
 /// when x.size() != g.num_vertices().
 std::vector<float> spmv(const CsrGraph& g, const std::vector<float>& x);

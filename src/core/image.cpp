@@ -40,18 +40,6 @@ double psnr(const Image& a, const Image& b) {
   return 10.0 * std::log10(1.0 / err);
 }
 
-Image downscale2x(const Image& hires) {
-  Image out(hires.height() / 2, hires.width() / 2);
-  for (std::size_t r = 0; r < out.height(); ++r) {
-    for (std::size_t c = 0; c < out.width(); ++c) {
-      out.at(r, c) = 0.25F * (hires.at(2 * r, 2 * c) + hires.at(2 * r, 2 * c + 1) +
-                              hires.at(2 * r + 1, 2 * c) +
-                              hires.at(2 * r + 1, 2 * c + 1));
-    }
-  }
-  return out;
-}
-
 Image downscale2x_aligned(const Image& hires) {
   Image out(hires.height() / 2, hires.width() / 2);
   constexpr float kTap[3] = {0.25F, 0.5F, 0.25F};
@@ -66,28 +54,6 @@ Image downscale2x_aligned(const Image& hires) {
         }
       }
       out.at(r, c) = acc;
-    }
-  }
-  return out;
-}
-
-Image upscale2x_bilinear(const Image& lowres) {
-  Image out(lowres.height() * 2, lowres.width() * 2);
-  for (std::size_t r = 0; r < out.height(); ++r) {
-    for (std::size_t c = 0; c < out.width(); ++c) {
-      // Map the output pixel centre back to LR coordinates.
-      const double sr = (static_cast<double>(r) + 0.5) / 2.0 - 0.5;
-      const double sc = (static_cast<double>(c) + 0.5) / 2.0 - 0.5;
-      const auto r0 = static_cast<std::ptrdiff_t>(std::floor(sr));
-      const auto c0 = static_cast<std::ptrdiff_t>(std::floor(sc));
-      const double fr = sr - static_cast<double>(r0);
-      const double fc = sc - static_cast<double>(c0);
-      const double v =
-          (1 - fr) * ((1 - fc) * lowres.at_clamped(r0, c0) +
-                      fc * lowres.at_clamped(r0, c0 + 1)) +
-          fr * ((1 - fc) * lowres.at_clamped(r0 + 1, c0) +
-                fc * lowres.at_clamped(r0 + 1, c0 + 1));
-      out.at(r, c) = static_cast<float>(v);
     }
   }
   return out;

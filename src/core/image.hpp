@@ -49,19 +49,11 @@ double mse(const Image& a, const Image& b);
 /// identical images.
 double psnr(const Image& a, const Image& b);
 
-/// 2x box-filter downscale. Note the resulting samples sit at half-pixel
-/// positions of the HR grid; use downscale2x_aligned when the LR image
-/// feeds a polyphase (zero-insertion) upsampler.
-Image downscale2x(const Image& hires);
-
 /// 2x decimation with a centred [1 2 1]/4 binomial anti-alias filter:
 /// lr(i, j) is the filtered HR value *at* (2i, 2j), so a stride-2
 /// transposed convolution reconstructs it without sub-pixel shift. This is
 /// the LR-generation used for all SR PSNR evaluations (Sec. V).
 Image downscale2x_aligned(const Image& hires);
-
-/// Bicubic-free bilinear 2x upscale baseline.
-Image upscale2x_bilinear(const Image& lowres);
 
 /// Synthetic scene kinds used by tests and benches.
 enum class SceneKind {

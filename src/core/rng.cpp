@@ -95,10 +95,6 @@ double Rng::normal() {
 
 double Rng::normal(double mu, double sigma) { return mu + sigma * normal(); }
 
-double Rng::lognormal(double mu, double sigma) {
-  return std::exp(normal(mu, sigma));
-}
-
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
 int Rng::poisson(double lambda) {

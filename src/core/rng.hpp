@@ -47,9 +47,6 @@ public:
   /// Normal with mean mu and standard deviation sigma.
   double normal(double mu, double sigma);
 
-  /// Log-normal: exp(N(mu, sigma)).
-  double lognormal(double mu, double sigma);
-
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p);
 

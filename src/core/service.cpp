@@ -25,6 +25,10 @@ constexpr double kMinDrrCost = 1e-3;
 constexpr double kDegradeReducedAt = 0.5;
 constexpr double kDegradeMinimalAt = 0.8;
 
+// The watchdog scans every timeout / kWatchdogPollsPerTimeout, so a stuck
+// body is killed within 1.1x the timeout after its last heartbeat.
+constexpr double kWatchdogPollsPerTimeout = 10.0;
+
 }  // namespace
 
 const char* job_state_name(JobState state) {
@@ -92,6 +96,8 @@ struct CampaignService::Job {
   Deadline deadline;
   CancelToken token;
   std::function<void(JobContext&)> body;
+  /// A queued job is finalised in the same step that sets this, so only a
+  /// claimed or running job is ever seen carrying it.
   bool cancel_requested = false;
   bool watchdog_flagged = false;
   bool hit_deadline = false;
@@ -101,46 +107,13 @@ struct CampaignService::Job {
   Clock::time_point start_time{};
   Clock::time_point end_time{};
   bool started = false;
-  bool ended = false;
   std::atomic<std::uint64_t> heartbeats{0};
   // Watchdog bookkeeping (guarded by the service mutex).
   std::uint64_t watchdog_seen = 0;
   Clock::time_point watchdog_progress{};
 };
 
-/// Fixed-capacity ring of the most recent sojourn samples. Push is O(1)
-/// (overwrite the oldest once full) and the storage grows on demand up to
-/// the capacity, so idle tenants never pay the full allocation. The old
-/// bounded-vector scheme front-erased half the buffer (O(n) under the
-/// service mutex) and discarded the oldest history wholesale, which biased
-/// p99 toward whatever burst followed an eviction.
-struct SojournRing {
-  std::size_t capacity = 1;
-  std::vector<double> samples;  // grows to capacity, then wraps
-  std::size_t next = 0;         // overwrite cursor once full
-
-  void push(double value) {
-    if (samples.size() < capacity) {
-      samples.push_back(value);
-      return;
-    }
-    samples[next] = value;
-    next = (next + 1) % capacity;
-  }
-
-  /// Linearises oldest -> newest into `out` (core::percentile consumers
-  /// keep working on the snapshot unchanged).
-  void snapshot(std::vector<double>* out) const {
-    out->clear();
-    out->reserve(samples.size());
-    for (std::size_t k = 0; k < samples.size(); ++k) {
-      out->push_back(samples[(next + k) % samples.size()]);
-    }
-  }
-};
-
 struct CampaignService::Tenant {
-  std::string name;
   TenantConfig config;
   /// Per-priority-class FIFO queues (may hold finalised corpses). Strict
   /// priority scans kInteractive first; DRR fairness applies within a
@@ -149,8 +122,17 @@ struct CampaignService::Tenant {
   std::size_t queued = 0;                  // jobs across `queues` still kQueued
   double queued_cost = 0.0;                // sum of their cost estimates
   double deficit = 0.0;                    // DRR credit, cost-seconds
-  TenantStats stats;
-  SojournRing sojourns;
+  TenantStats stats;  // counters only; stats() fills sojourn_seconds
+
+  /// The class-`cls` queue with finalised jobs popped off its front, so a
+  /// non-empty result fronts a queued job.
+  std::deque<std::shared_ptr<Job>>& live_queue(std::size_t cls) {
+    auto& queue = queues[cls];
+    while (!queue.empty() && queue.front()->state != JobState::kQueued) {
+      queue.pop_front();
+    }
+    return queue;
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -185,9 +167,8 @@ CampaignService::CampaignService(ServiceConfig config,
   if (config_.max_queue_depth == 0) {
     throw Error("core::service", "max_queue_depth must be >= 1");
   }
-  if (config_.watchdog_timeout_seconds < 0.0 ||
-      config_.watchdog_poll_seconds <= 0.0) {
-    throw Error("core::service", "invalid watchdog configuration");
+  if (config_.watchdog_timeout_seconds < 0.0) {
+    throw Error("core::service", "watchdog_timeout_seconds must be >= 0");
   }
   if (config_.drr_quantum_seconds <= 0.0) {
     throw Error("core::service", "drr_quantum_seconds must be > 0");
@@ -201,22 +182,14 @@ CampaignService::CampaignService(ServiceConfig config,
   if (config_.priority_aging_seconds < 0.0) {
     throw Error("core::service", "priority_aging_seconds must be >= 0");
   }
-  if (config_.sojourn_capacity == 0) {
-    throw Error("core::service", "sojourn_capacity must be >= 1");
-  }
-  for (auto& [name, tenant_config] : tenants) {
+  for (const auto& [name, tenant_config] : tenants) {
     if (name.empty()) {
       throw Error("core::service", "tenant name must be non-empty");
     }
     if (tenant_config.weight < 1) {
       throw Error("core::service", "tenant weight must be >= 1", name);
     }
-    auto tenant = std::make_unique<Tenant>();
-    tenant->name = name;
-    tenant->config = tenant_config;
-    tenant->sojourns.capacity = config_.sojourn_capacity;
-    tenants_.emplace(name, std::move(tenant));
-    tenant_order_.push_back(name);
+    tenant_locked(name).config = tenant_config;  // no thread runs yet
   }
   if (!config_.journal_path.empty()) {
     journal_ = std::make_unique<RunJournal>(config_.journal_path, kJournalKind);
@@ -243,11 +216,7 @@ void CampaignService::shutdown() {
       for (auto& [name, tenant] : tenants_) {
         for (auto& queue : tenant->queues) {
           for (auto& job : queue) {
-            if (job->state != JobState::kQueued) continue;
-            job->cancel_requested = true;
-            job->token.request_stop();
-            events.push_back(make_event(ServiceEventKind::kCancelled, *job));
-            finalize_locked(job, JobState::kCancelled);
+            if (job->state == JobState::kQueued) cancel_locked(job, &events);
           }
         }
       }
@@ -273,15 +242,12 @@ void CampaignService::shutdown() {
 
 CampaignService::Tenant& CampaignService::tenant_locked(
     const std::string& name) {
-  auto it = tenants_.find(name);
-  if (it != tenants_.end()) return *it->second;
-  auto tenant = std::make_unique<Tenant>();
-  tenant->name = name;
-  tenant->sojourns.capacity = config_.sojourn_capacity;
-  Tenant& ref = *tenant;
-  tenants_.emplace(name, std::move(tenant));
-  tenant_order_.push_back(name);
-  return ref;
+  auto [it, created] = tenants_.try_emplace(name);
+  if (created) {
+    it->second = std::make_unique<Tenant>();
+    tenant_order_.push_back(name);
+  }
+  return *it->second;
 }
 
 double CampaignService::backlog_seconds_locked() const {
@@ -382,7 +348,7 @@ SubmitOutcome CampaignService::submit(JobRequest request) {
       ++tenant.queued;
       tenant.queued_cost += cost;
       ++queued_;
-      peak_queue_depth_ = std::max(peak_queue_depth_, queued_);
+      totals_.peak_queue_depth = std::max(totals_.peak_queue_depth, queued_);
       ++totals_.admitted;
       ++tenant.stats.admitted;
       if (tier != DegradeTier::kFull) {
@@ -425,23 +391,18 @@ void CampaignService::promote_aged_locked() {
     auto& interactive =
         tenant->queues[static_cast<std::size_t>(PriorityClass::kInteractive)];
     for (std::size_t cls = 1; cls < kNumPriorityClasses; ++cls) {
-      auto& queue = tenant->queues[cls];
       // FIFO order means waits are monotone front-to-back: once the head
       // is young enough, the rest is too. Promoted jobs go to the *front*
       // of the interactive band (preserving their relative order), which
       // gives the aging bound teeth: the next dequeue serves them.
       std::vector<std::shared_ptr<Job>> promoted;
-      while (!queue.empty()) {
-        const std::shared_ptr<Job>& head = queue.front();
-        if (head->state != JobState::kQueued) {
-          queue.pop_front();  // corpse
-          continue;
-        }
-        if (seconds_between(head->submit_time, now) <
-            config_.priority_aging_seconds) {
+      for (;;) {
+        auto& queue = tenant->live_queue(cls);
+        if (queue.empty() || seconds_between(queue.front()->submit_time, now) <
+                                 config_.priority_aging_seconds) {
           break;
         }
-        promoted.push_back(head);
+        promoted.push_back(std::move(queue.front()));
         queue.pop_front();
       }
       for (auto it = promoted.rbegin(); it != promoted.rend(); ++it) {
@@ -474,11 +435,7 @@ std::shared_ptr<CampaignService::Job> CampaignService::pick_job_locked() {
       for (std::size_t k = 0; k < n; ++k) {
         const std::size_t idx = (drr_cursor_ + k) % n;
         Tenant& tenant = *tenants_.at(tenant_order_[idx]);
-        auto& queue = tenant.queues[cls];
-        while (!queue.empty() &&
-               queue.front()->state != JobState::kQueued) {
-          queue.pop_front();  // corpse
-        }
+        auto& queue = tenant.live_queue(cls);
         if (queue.empty()) continue;
         any = true;
         std::shared_ptr<Job>& head = queue.front();
@@ -497,12 +454,7 @@ std::shared_ptr<CampaignService::Job> CampaignService::pick_job_locked() {
       // loop terminates.
       for (std::size_t k = 0; k < n; ++k) {
         Tenant& tenant = *tenants_.at(tenant_order_[k]);
-        auto& queue = tenant.queues[cls];
-        while (!queue.empty() &&
-               queue.front()->state != JobState::kQueued) {
-          queue.pop_front();
-        }
-        if (!queue.empty()) {
+        if (!tenant.live_queue(cls).empty()) {
           tenant.deficit +=
               config_.drr_quantum_seconds * tenant.config.weight;
         }
@@ -522,18 +474,7 @@ void CampaignService::dispatcher_main() {
       if (stopped_) return;  // shutdown() has already cancelled the queue
       std::shared_ptr<Job> job = pick_job_locked();
       if (!job) continue;
-      // Shed-before-execution: expired deadlines, and jobs whose remaining
-      // budget cannot cover their estimated cost (doomed to miss the SLO).
-      const bool expired = job->token.cancelled() && !job->cancel_requested;
-      const bool doomed = job->deadline.finite() &&
-                          job->deadline.remaining_seconds() < job->cost;
-      if (job->cancel_requested) {
-        events.push_back(make_event(ServiceEventKind::kCancelled, *job));
-        finalize_locked(job, JobState::kCancelled);
-      } else if (expired || doomed) {
-        events.push_back(make_event(ServiceEventKind::kShedExpired, *job));
-        finalize_locked(job, JobState::kExpired);
-      } else {
+      if (!shed_if_due_locked(job, &events)) {
         claim_locked(job);
         group.push_back(std::move(job));
         if (!group.front()->coalesce_key.empty() &&
@@ -547,19 +488,25 @@ void CampaignService::dispatcher_main() {
   }
 }
 
+// Removes a kQueued job from the global and per-tenant queue accounting,
+// whether it is claimed to run or finalised straight from the queue.
+void CampaignService::leave_queue_locked(const Job& job) {
+  Tenant& tenant = *job.home;
+  if (tenant.queued > 0) --tenant.queued;
+  tenant.queued_cost = std::max(0.0, tenant.queued_cost - job.cost);
+  if (queued_ > 0) --queued_;
+  ICSC_TRACE_GAUGE("service.queue_depth", static_cast<double>(queued_));
+}
+
 // Takes a picked job out of the queue accounting without starting it:
 // claimed members of a forming batch are kRunning for drain()/shutdown
 // purposes (++running_ balances the eventual finalise) but stay out of
 // running_jobs_ so the watchdog does not time them while they wait for the
 // group to fill.
 void CampaignService::claim_locked(const std::shared_ptr<Job>& job) {
-  Tenant& tenant = *job->home;
-  if (tenant.queued > 0) --tenant.queued;
-  tenant.queued_cost = std::max(0.0, tenant.queued_cost - job->cost);
-  if (queued_ > 0) --queued_;
+  leave_queue_locked(*job);
   ++running_;
   job->state = JobState::kRunning;
-  ICSC_TRACE_GAUGE("service.queue_depth", static_cast<double>(queued_));
 }
 
 // Claims every queued job carrying `key` (scanning tenants in DRR order,
@@ -659,15 +606,7 @@ void CampaignService::run_group(std::vector<std::shared_ptr<Job>> group) {
         finalize_locked(job, JobState::kCancelled);
         continue;
       }
-      const bool expired = job->deadline.finite() && job->deadline.expired();
-      const bool doomed = job->deadline.finite() &&
-                          job->deadline.remaining_seconds() < job->cost;
-      if (expired || doomed) {
-        events.push_back(make_event(ServiceEventKind::kShedExpired, *job));
-        finalize_locked(job, JobState::kExpired);
-        continue;
-      }
-      live.push_back(std::move(job));
+      if (!shed_if_due_locked(job, &events)) live.push_back(std::move(job));
     }
     for (const auto& job : live) {
       job->started = true;
@@ -756,10 +695,7 @@ void CampaignService::finalize_locked(const std::shared_ptr<Job>& job,
                                       Clock::time_point end_time) {
   Tenant& tenant = *job->home;
   if (job->state == JobState::kQueued) {
-    if (tenant.queued > 0) --tenant.queued;
-    tenant.queued_cost = std::max(0.0, tenant.queued_cost - job->cost);
-    if (queued_ > 0) --queued_;
-    ICSC_TRACE_GAUGE("service.queue_depth", static_cast<double>(queued_));
+    leave_queue_locked(*job);
   } else if (job->state == JobState::kRunning) {
     if (running_ > 0) --running_;
     // O(1) swap-pop: the job records its slot while on the running list.
@@ -775,7 +711,6 @@ void CampaignService::finalize_locked(const std::shared_ptr<Job>& job,
     }
   }
   job->state = state;
-  job->ended = true;
   job->end_time = end_time;
   // No body runs once a job is here (run_group released its own already):
   // drop the closure so jobs_ retains only the status record.
@@ -785,7 +720,6 @@ void CampaignService::finalize_locked(const std::shared_ptr<Job>& job,
       ++totals_.completed;
       ++tenant.stats.completed;
       ICSC_TRACE_COUNT("service.completed", 1);
-      tenant.sojourns.push(seconds_between(job->submit_time, job->end_time));
       break;
     case JobState::kFailed:
       ++totals_.failed;
@@ -818,7 +752,8 @@ void CampaignService::finalize_locked(const std::shared_ptr<Job>& job,
 // Watchdog
 
 void CampaignService::watchdog_main() {
-  const auto poll = std::chrono::duration<double>(config_.watchdog_poll_seconds);
+  const auto poll = std::chrono::duration<double>(
+      config_.watchdog_timeout_seconds / kWatchdogPollsPerTimeout);
   for (;;) {
     std::vector<ServiceEvent> events;
     {
@@ -854,21 +789,28 @@ void CampaignService::watchdog_main() {
   }
 }
 
+// Shed-before-execution, the one test applied to a job before its body
+// runs (at dequeue, again when its batch group starts, and on every
+// watchdog scan of the queues): its deadline expired, or its remaining
+// budget cannot cover its estimated cost (doomed to miss the SLO). A due
+// job is journaled and finalised as kExpired.
+bool CampaignService::shed_if_due_locked(const std::shared_ptr<Job>& job,
+                                         std::vector<ServiceEvent>* events) {
+  if (!job->deadline.expired() &&
+      !(job->deadline.remaining_seconds() < job->cost)) {
+    return false;
+  }
+  events->push_back(make_event(ServiceEventKind::kShedExpired, *job));
+  finalize_locked(job, JobState::kExpired);
+  return true;
+}
+
 void CampaignService::shed_expired_queued_locked(
     std::vector<ServiceEvent>* events) {
   for (auto& [name, tenant] : tenants_) {
     for (auto& queue : tenant->queues) {
       for (auto& job : queue) {
-        if (job->state != JobState::kQueued || job->cancel_requested) {
-          continue;
-        }
-        const bool expired = job->token.cancelled();
-        const bool doomed = job->deadline.finite() &&
-                            job->deadline.remaining_seconds() < job->cost;
-        if (expired || doomed) {
-          events->push_back(make_event(ServiceEventKind::kShedExpired, *job));
-          finalize_locked(job, JobState::kExpired);
-        }
+        if (job->state == JobState::kQueued) shed_if_due_locked(job, events);
       }
     }
   }
@@ -893,15 +835,10 @@ JobStatus CampaignService::poll(JobId id) const {
   status.batch_size = job.batch_size;
   status.terminal = job.state != JobState::kQueued &&
                     job.state != JobState::kRunning;
-  const auto now = Clock::now();
-  const auto queue_end = job.started ? job.start_time
-                        : job.ended  ? job.end_time
-                                     : now;
-  status.queue_seconds = seconds_between(job.submit_time, queue_end);
-  if (job.started) {
-    status.run_seconds =
-        seconds_between(job.start_time, job.ended ? job.end_time : now);
-  }
+  const auto end = status.terminal ? job.end_time : Clock::now();
+  status.queue_seconds =
+      seconds_between(job.submit_time, job.started ? job.start_time : end);
+  if (job.started) status.run_seconds = seconds_between(job.start_time, end);
   status.hit_deadline = job.hit_deadline;
   status.checkpoint_path = job.checkpoint_path;
   status.error = job.error;
@@ -915,24 +852,24 @@ bool CampaignService::cancel(JobId id) {
     std::unique_lock<std::mutex> lock(mutex_);
     const auto it = jobs_.find(id);
     if (it == jobs_.end()) return false;
-    const std::shared_ptr<Job>& job = it->second;
-    if (job->state == JobState::kQueued) {
-      job->cancel_requested = true;
-      job->token.request_stop();
-      events.push_back(make_event(ServiceEventKind::kCancelled, *job));
-      finalize_locked(job, JobState::kCancelled);
-      cancelled = true;
-    } else if (job->state == JobState::kRunning) {
-      // The body drains cooperatively and finalises as kCancelled (the
-      // journal record is written at finalisation via run_job).
-      job->cancel_requested = true;
-      job->token.request_stop();
-      events.push_back(make_event(ServiceEventKind::kCancelled, *job));
-      cancelled = true;
-    }
+    cancelled = cancel_locked(it->second, &events);
   }
   append_events(events);
   return cancelled;
+}
+
+// Requests a cooperative stop of a queued or running job and journals the
+// cancel. A queued job is finalised at once; a running body drains and
+// run_group finalises it as kCancelled. Returns false for a terminal job.
+bool CampaignService::cancel_locked(const std::shared_ptr<Job>& job,
+                                    std::vector<ServiceEvent>* events) {
+  const bool queued = job->state == JobState::kQueued;
+  if (!queued && job->state != JobState::kRunning) return false;
+  job->cancel_requested = true;
+  job->token.request_stop();
+  events->push_back(make_event(ServiceEventKind::kCancelled, *job));
+  if (queued) finalize_locked(job, JobState::kCancelled);
+  return true;
 }
 
 void CampaignService::drain() {
@@ -945,11 +882,14 @@ ServiceStats CampaignService::stats() const {
   ServiceStats out = totals_;
   out.queued = queued_;
   out.running = running_;
-  out.peak_queue_depth = peak_queue_depth_;
   for (const auto& [name, tenant] : tenants_) {
-    TenantStats copy = tenant->stats;
-    tenant->sojourns.snapshot(&copy.sojourn_seconds);
-    out.tenants.emplace(name, std::move(copy));
+    out.tenants.emplace(name, tenant->stats);
+  }
+  // Sojourns come from the job table, which keeps every job's timestamps.
+  for (const auto& [id, job] : jobs_) {
+    if (job->state != JobState::kDone) continue;
+    out.tenants.at(job->tenant).sojourn_seconds.push_back(
+        seconds_between(job->submit_time, job->end_time));
   }
   return out;
 }

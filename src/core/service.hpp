@@ -294,10 +294,9 @@ struct ServiceConfig {
   /// at 80 % of it.
   std::size_t max_queue_depth = 64;
   /// Watchdog: a running job with no heartbeat for this long is cancelled
-  /// and journaled (0 disables the watchdog).
+  /// and journaled (0 disables the watchdog). The watchdog scans every
+  /// tenth of the timeout, so a kill lands within 1.1x the timeout.
   double watchdog_timeout_seconds = 0.0;
-  /// Watchdog scan interval.
-  double watchdog_poll_seconds = 0.01;
   /// DRR quantum in cost-seconds credited per scheduling round per weight
   /// unit.
   double drr_quantum_seconds = 0.05;
@@ -317,9 +316,6 @@ struct ServiceConfig {
   /// interactive band. 0 disables aging; strict priority can then starve
   /// lower classes under sustained interactive load.
   double priority_aging_seconds = 0.0;
-  /// Capacity of the per-tenant sojourn-sample ring (>= 1): the most
-  /// recent N completed-job sojourns are kept, oldest overwritten first.
-  std::size_t sojourn_capacity = 1 << 16;
   /// Event journal (shed / watchdog / cancel records, core/checkpoint
   /// RunJournal); empty disables journaling.
   std::string journal_path;
@@ -361,11 +357,9 @@ struct TenantStats {
   std::uint64_t degraded = 0;         // admitted at a tier below kFull
   std::uint64_t batched = 0;          // ran inside a coalesced group (> 1)
   std::uint64_t aged = 0;             // promoted to interactive by aging
-  /// Sojourn (submit -> done) seconds of completed jobs, oldest to newest.
-  /// Feed core::percentile for p50/p99/p999. Bounded by
-  /// ServiceConfig::sojourn_capacity: a fixed-capacity ring overwrites the
-  /// oldest sample one at a time, so the window always holds the most
-  /// recent completions (no wholesale history drops biasing the tail).
+  /// Sojourn (submit -> done) seconds of every completed (kDone) job, in
+  /// job-id order, read from the job table when stats() is called. Feed
+  /// core::percentile for p50/p99/p999.
   std::vector<double> sojourn_seconds;
 };
 
@@ -449,6 +443,7 @@ class CampaignService {
   void watchdog_main();
   std::shared_ptr<Job> pick_job_locked();
   void promote_aged_locked();
+  void leave_queue_locked(const Job& job);
   void claim_locked(const std::shared_ptr<Job>& job);
   void claim_same_key_locked(const std::string& key,
                              std::vector<std::shared_ptr<Job>>* group);
@@ -459,6 +454,10 @@ class CampaignService {
       std::chrono::steady_clock::time_point end_time =
           std::chrono::steady_clock::now());
   void run_group(std::vector<std::shared_ptr<Job>> group);
+  bool cancel_locked(const std::shared_ptr<Job>& job,
+                     std::vector<ServiceEvent>* events);
+  bool shed_if_due_locked(const std::shared_ptr<Job>& job,
+                          std::vector<ServiceEvent>* events);
   void shed_expired_queued_locked(std::vector<ServiceEvent>* events);
   ServiceEvent make_event(ServiceEventKind kind, const Job& job) const;
   void append_events(const std::vector<ServiceEvent>& events);
@@ -500,8 +499,7 @@ class CampaignService {
   JobId next_id_ = 1;
   std::size_t queued_ = 0;
   std::size_t running_ = 0;
-  std::size_t peak_queue_depth_ = 0;
-  ServiceStats totals_;  // scalar counters only; queues/tenants live above
+  ServiceStats totals_;  // scalar counters and the queue-depth peak only
 
   std::mutex journal_mutex_;
   std::unique_ptr<RunJournal> journal_;

@@ -1,5 +1,5 @@
-// Small statistics toolkit: summary statistics, least-squares fitting, and
-// confidence intervals.
+// Small statistics toolkit: summary statistics, percentiles, least-squares
+// fitting, and the normal / Student-t critical values.
 //
 // Used by the device-characterisation experiments (fitting drift exponents
 // from simulated conductance measurements, Sec. IV), by benches that
@@ -29,17 +29,6 @@ Summary summarize(std::span<const double> values);
 /// p outside [0, 100] -- there is no meaningful value to return.
 double percentile(std::span<const double> values, double p);
 
-/// A symmetric two-sided confidence interval [center - half_width,
-/// center + half_width].
-struct ConfidenceInterval {
-  double center = 0.0;
-  double half_width = 0.0;
-
-  double lo() const { return center - half_width; }
-  double hi() const { return center + half_width; }
-  bool contains(double v) const { return v >= lo() && v <= hi(); }
-};
-
 /// Two-sided critical value of the standard normal: the z with
 /// P(-z <= N(0,1) <= z) = confidence. Throws core::Error unless
 /// confidence is in (0, 1).
@@ -52,18 +41,6 @@ double normal_critical(double confidence);
 /// df grows. Throws core::Error on df < 1 or confidence outside (0, 1).
 double student_t_critical(double df, double confidence);
 
-/// Student-t confidence interval for the population mean. Throws
-/// core::Error on fewer than two samples (a single sample has no
-/// estimable dispersion -- there is no meaningful interval to return).
-ConfidenceInterval mean_ci(std::span<const double> values, double confidence);
-
-/// Large-sample confidence interval for the population standard
-/// deviation: s +- z * s / sqrt(2 (n - 1)) (normal approximation to the
-/// chi-square sampling distribution of s). Throws core::Error on fewer
-/// than two samples.
-ConfidenceInterval stddev_ci(std::span<const double> values,
-                             double confidence);
-
 /// Ordinary least squares y = slope * x + intercept.
 struct LinearFit {
   double slope = 0.0;
@@ -74,9 +51,5 @@ struct LinearFit {
 /// Throws core::Error when x and y differ in length (previously an
 /// NDEBUG-vanishing assert).
 LinearFit fit_linear(std::span<const double> x, std::span<const double> y);
-
-/// Pearson correlation coefficient. Throws core::Error when x and y
-/// differ in length.
-double correlation(std::span<const double> x, std::span<const double> y);
 
 }  // namespace icsc::core

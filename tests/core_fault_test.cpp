@@ -479,16 +479,12 @@ TEST(CampaignEstimates, MatchDirectComputation) {
   sampling::OnlineStats metric;
   for (std::size_t i = 0; i < results.size(); ++i) {
     results[i].metric = static_cast<double>(i * i);
-    results[i].latency = 1.0;
     metric.push(results[i].metric);
   }
   const auto est = campaign_metric_estimate(results, 0.95);
   const auto direct = sampling::mean_estimate(metric, 0.95);
   EXPECT_EQ(est.mean, direct.mean);
   EXPECT_EQ(est.half_width, direct.half_width);
-  const auto lat = campaign_latency_estimate(results, 0.95);
-  EXPECT_DOUBLE_EQ(lat.mean, 1.0);
-  EXPECT_DOUBLE_EQ(lat.half_width, 0.0);
 }
 
 TEST(Error, FormatsWhereWhatContext) {

@@ -54,40 +54,6 @@ TEST(Graph, RmatIsSkewed) {
   EXPECT_GT(max_degree(rmat), 2 * max_degree(uniform));
 }
 
-TEST(Graph, BfsLevelsOnChain) {
-  const auto g = tiny_chain();
-  const auto levels = bfs_levels(g, 0);
-  EXPECT_EQ(levels[0], 0);
-  EXPECT_EQ(levels[1], 1);
-  EXPECT_EQ(levels[2], 1);  // via the 0->2 shortcut
-  EXPECT_EQ(levels[3], 2);
-}
-
-TEST(Graph, BfsUnreachableIsMinusOne) {
-  const auto g = csr_from_edges(3, {{0, 1}});
-  const auto levels = bfs_levels(g, 0);
-  EXPECT_EQ(levels[2], -1);
-}
-
-TEST(Graph, BfsInvalidRoot) {
-  const auto g = tiny_chain();
-  const auto levels = bfs_levels(g, 99);
-  for (const auto l : levels) EXPECT_EQ(l, -1);
-}
-
-TEST(Graph, BfsLevelsDifferByAtMostOneAcrossEdges) {
-  const auto g = make_rmat_graph(10, 6.0, 11);
-  const auto levels = bfs_levels(g, 0);
-  for (std::size_t v = 0; v < g.num_vertices(); ++v) {
-    if (levels[v] < 0) continue;
-    for (std::uint32_t e = g.row_offsets[v]; e < g.row_offsets[v + 1]; ++e) {
-      const auto w = g.column_indices[e];
-      ASSERT_GE(levels[w], 0) << "neighbour of reached vertex must be reached";
-      EXPECT_LE(levels[w], levels[v] + 1);
-    }
-  }
-}
-
 TEST(Graph, SpmvMatchesDense) {
   const auto g = tiny_chain();
   std::vector<float> x{1.0F, 2.0F, 3.0F, 4.0F};

@@ -53,36 +53,6 @@ TEST(Image, MseMismatchedSizesIsNan) {
   EXPECT_TRUE(std::isnan(mse(a, b)));
 }
 
-TEST(Image, Downscale2xAverages) {
-  Image hi(2, 2);
-  hi.at(0, 0) = 0.0F;
-  hi.at(0, 1) = 1.0F;
-  hi.at(1, 0) = 1.0F;
-  hi.at(1, 1) = 0.0F;
-  const Image lo = downscale2x(hi);
-  EXPECT_EQ(lo.height(), 1u);
-  EXPECT_EQ(lo.width(), 1u);
-  EXPECT_FLOAT_EQ(lo.at(0, 0), 0.5F);
-}
-
-TEST(Image, BilinearUpscalePreservesConstant) {
-  Image lo(3, 3, 0.7F);
-  const Image hi = upscale2x_bilinear(lo);
-  EXPECT_EQ(hi.height(), 6u);
-  EXPECT_EQ(hi.width(), 6u);
-  for (std::size_t r = 0; r < 6; ++r) {
-    for (std::size_t c = 0; c < 6; ++c) EXPECT_NEAR(hi.at(r, c), 0.7F, 1e-6);
-  }
-}
-
-TEST(Image, UpscaleThenDownscaleRecoversSmoothImage) {
-  const Image scene = make_scene(SceneKind::kSmoothGradient, 32, 32, 5);
-  const Image up = upscale2x_bilinear(scene);
-  const Image back = downscale2x(up);
-  // Round-trip through a smooth image should be close to identity.
-  EXPECT_GT(psnr(scene, back), 30.0);
-}
-
 class SceneSweep : public ::testing::TestWithParam<SceneKind> {};
 
 TEST_P(SceneSweep, ScenesAreNormalizedAndDeterministic) {

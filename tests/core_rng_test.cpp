@@ -83,11 +83,6 @@ TEST(Rng, NormalMomentsMatch) {
   EXPECT_NEAR(std::sqrt(variance), 3.0, 0.05);
 }
 
-TEST(Rng, LognormalIsPositive) {
-  Rng rng(17);
-  for (int i = 0; i < 1000; ++i) EXPECT_GT(rng.lognormal(0.0, 1.0), 0.0);
-}
-
 TEST(Rng, BernoulliFrequency) {
   Rng rng(19);
   int hits = 0;

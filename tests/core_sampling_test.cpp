@@ -70,6 +70,14 @@ TEST(MeanEstimate, InfiniteBelowTwoSamples) {
   const Estimate e = mean_estimate(stats, 0.95);
   EXPECT_TRUE(std::isinf(e.half_width));
   EXPECT_DOUBLE_EQ(e.mean, 1.0);
+  EXPECT_TRUE(std::isinf(stddev_half_width(stats, 0.95)));
+  // x = {1..5}: mean 3, sample stddev sqrt(2.5), t(4, .95) = 2.776.
+  for (const double x : {2.0, 3.0, 4.0, 5.0}) stats.push(x);
+  const Estimate five = mean_estimate(stats, 0.95);
+  EXPECT_DOUBLE_EQ(five.mean, 3.0);
+  EXPECT_NEAR(five.half_width, 2.776 * std::sqrt(2.5) / std::sqrt(5.0), 1e-3);
+  EXPECT_TRUE(five.contains(3.0));
+  EXPECT_FALSE(five.contains(100.0));
 }
 
 TEST(MeanEstimate, CoversTrueMeanAtRoughlyNominalRate) {
@@ -85,6 +93,18 @@ TEST(MeanEstimate, CoversTrueMeanAtRoughlyNominalRate) {
     if (mean_estimate(stats, 0.95).contains(5.0)) ++covered;
   }
   EXPECT_GE(covered, 170);
+  // The stddev interval s +- z s / sqrt(2 (n - 1)) covers the true sigma
+  // too: 100 repetitions of a 200-sample normal estimate.
+  int sigma_covered = 0;
+  for (int rep = 0; rep < 100; ++rep) {
+    Rng rng(500 + rep);
+    OnlineStats stats;
+    for (int i = 0; i < 200; ++i) stats.push(rng.normal(0.0, 3.0));
+    if (std::fabs(stats.stddev() - 3.0) <= stddev_half_width(stats, 0.95)) {
+      ++sigma_covered;
+    }
+  }
+  EXPECT_GE(sigma_covered, 85);
 }
 
 // ---------------------------------------------------------------------------

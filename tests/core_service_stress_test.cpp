@@ -37,7 +37,6 @@ TEST(ServiceStress, RandomCancellationPointsKeepExactAccounting) {
   config.workers = 3;
   config.max_queue_depth = 32;
   config.watchdog_timeout_seconds = 0.25;  // generous: bodies beat every few ms
-  config.watchdog_poll_seconds = 0.01;
   config.journal_path = dir + "/events.journal";
   config.scratch_dir = dir;
   std::map<std::string, TenantConfig> tenants;

@@ -440,7 +440,6 @@ TEST_F(ServiceTest, WatchdogKillsStuckJobAndJournalsCheckpoint) {
   ServiceConfig config;
   config.workers = 1;
   config.watchdog_timeout_seconds = 0.05;
-  config.watchdog_poll_seconds = 0.005;
   config.journal_path = path("events.journal");
   config.scratch_dir = dir_;
   CampaignService service(config);
@@ -478,7 +477,6 @@ TEST_F(ServiceTest, TerminalJobsReleaseTheirBodies) {
   ServiceConfig config;
   config.workers = 1;
   config.watchdog_timeout_seconds = 0.05;
-  config.watchdog_poll_seconds = 0.005;
   CampaignService service(config);
   std::vector<std::weak_ptr<int>> sentinels;
   const auto submit = [&](std::function<void(JobContext&)> work,
@@ -535,7 +533,6 @@ TEST_F(ServiceTest, HealthyHeartbeatingJobSurvivesWatchdog) {
   ServiceConfig config;
   config.workers = 1;
   config.watchdog_timeout_seconds = 0.05;
-  config.watchdog_poll_seconds = 0.005;
   CampaignService service(config);
   JobRequest slow_but_alive;
   slow_but_alive.body = [](JobContext& ctx) {
@@ -631,9 +628,9 @@ TEST_F(ServiceTest, InvalidConfigsThrow) {
   ServiceConfig bad_aging;
   bad_aging.priority_aging_seconds = -1.0;
   EXPECT_THROW(CampaignService{bad_aging}, Error);
-  ServiceConfig no_sojourns;
-  no_sojourns.sojourn_capacity = 0;
-  EXPECT_THROW(CampaignService{no_sojourns}, Error);
+  ServiceConfig bad_watchdog;
+  bad_watchdog.watchdog_timeout_seconds = -1.0;
+  EXPECT_THROW(CampaignService{bad_watchdog}, Error);
   ServiceConfig ok;
   std::map<std::string, TenantConfig> tenants;
   tenants["bad"] = TenantConfig{0, 0};
@@ -926,32 +923,48 @@ TEST_F(ServiceTest, TenantQuotaRetryHintUsesFairShareRate) {
   service.drain();
 }
 
-TEST_F(ServiceTest, SojournRingKeepsOnlyTheMostRecentSamples) {
+TEST_F(ServiceTest, SojournsComeFromTheJobTableForDoneJobsOnly) {
   ServiceConfig config;
   config.workers = 1;
-  config.sojourn_capacity = 4;
   CampaignService service(config);
-  for (int i = 0; i < 6; ++i) {
+  std::vector<JobId> done;
+  const auto run = [&](std::function<void(JobContext&)> body) {
     JobRequest request;
-    request.body = [](JobContext&) {};
+    request.body = std::move(body);
     const JobId id = service.submit_or_throw(std::move(request));
     wait_terminal(service, id);
-  }
+    return id;
+  };
+  for (int i = 0; i < 3; ++i) done.push_back(run([](JobContext&) {}));
+  const JobId failed =
+      run([](JobContext&) { throw std::runtime_error("boom"); });
+  for (int i = 0; i < 2; ++i) done.push_back(run([](JobContext&) {}));
+  // The sixth done job holds the only worker while the job queued behind
+  // it is cancelled, so that one never runs.
+  auto gate = std::make_shared<Gate>();
+  JobRequest blocker;
+  blocker.body = [gate](JobContext& ctx) { gate->wait_open(ctx); };
+  done.push_back(service.submit_or_throw(std::move(blocker)));
+  JobRequest victim;
+  victim.body = [](JobContext&) {};
+  const JobId cancelled = service.submit_or_throw(std::move(victim));
+  ASSERT_TRUE(service.cancel(cancelled));
+  gate->release();
   service.drain();
+  EXPECT_EQ(service.poll(failed).state, JobState::kFailed);
+  EXPECT_EQ(service.poll(cancelled).state, JobState::kCancelled);
+
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.completed, 6u);
   const auto& sojourns = stats.tenants.at("default").sojourn_seconds;
-  // The old half-erase scheme would hold 3 samples here (6 pushes against
-  // a bound of 4 drop half the buffer at the 5th); the ring holds exactly
-  // the most recent 4.
-  ASSERT_EQ(sojourns.size(), 4u);
-  for (const double s : sojourns) {
-    EXPECT_GE(s, 0.0);
-    EXPECT_LT(s, 60.0);
+  // One sample per kDone job, in job-id order, each equal to that job's
+  // queue + run time as poll() reports it.
+  ASSERT_EQ(sojourns.size(), done.size());
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    const JobStatus status = service.poll(done[i]);
+    ASSERT_EQ(status.state, JobState::kDone);
+    EXPECT_NEAR(sojourns[i], status.queue_seconds + status.run_seconds, 1e-9);
   }
-  // The snapshot stays a plain oldest-to-newest vector, so the existing
-  // percentile consumers keep working on it unchanged.
-  EXPECT_TRUE(std::isfinite(percentile(sojourns, 99.0)));
 }
 
 }  // namespace

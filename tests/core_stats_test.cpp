@@ -94,44 +94,10 @@ TEST(LinearFit, DegenerateInputs) {
   EXPECT_DOUBLE_EQ(fit_linear(same_x, any_y).slope, 0.0);
 }
 
-TEST(Correlation, PerfectAndInverse) {
-  std::vector<double> x{1, 2, 3, 4};
-  std::vector<double> y{2, 4, 6, 8};
-  EXPECT_NEAR(correlation(x, y), 1.0, 1e-12);
-  std::vector<double> z{8, 6, 4, 2};
-  EXPECT_NEAR(correlation(x, z), -1.0, 1e-12);
-}
-
-TEST(Correlation, ZeroVarianceIsZero) {
-  // A constant series has no direction to correlate with; the convention
-  // here is 0 rather than NaN so downstream tables stay printable.
-  const std::vector<double> flat{3.0, 3.0, 3.0, 3.0};
-  const std::vector<double> ramp{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(correlation(flat, ramp), 0.0);
-  EXPECT_DOUBLE_EQ(correlation(ramp, flat), 0.0);
-  EXPECT_DOUBLE_EQ(correlation(flat, flat), 0.0);
-}
-
-TEST(Correlation, FewerThanTwoSamplesIsZero) {
-  const std::vector<double> one{5.0};
-  EXPECT_DOUBLE_EQ(correlation(one, one), 0.0);
-}
-
-TEST(Correlation, IndependentNearZero) {
-  Rng rng(11);
-  std::vector<double> x, y;
-  for (int i = 0; i < 5000; ++i) {
-    x.push_back(rng.normal(0, 1));
-    y.push_back(rng.normal(0, 1));
-  }
-  EXPECT_NEAR(correlation(x, y), 0.0, 0.05);
-}
-
 TEST(LinearFit, ThrowsOnLengthMismatch) {
   const std::vector<double> x{1.0, 2.0, 3.0};
   const std::vector<double> y{1.0, 2.0};
   EXPECT_THROW(fit_linear(x, y), Error);
-  EXPECT_THROW(correlation(x, y), Error);
 }
 
 TEST(CriticalValues, NormalTextbookPoints) {
@@ -157,33 +123,6 @@ TEST(CriticalValues, RejectBadConfidence) {
   EXPECT_THROW(normal_critical(1.0), Error);
   EXPECT_THROW(student_t_critical(10, -0.5), Error);
   EXPECT_THROW(student_t_critical(0.0, 0.95), Error);
-}
-
-TEST(MeanCi, KnownSmallSample) {
-  // x = {1..5}: mean 3, sample stddev sqrt(2.5), t(4, .95) = 2.776.
-  const std::vector<double> v{1.0, 2.0, 3.0, 4.0, 5.0};
-  const auto ci = mean_ci(v, 0.95);
-  EXPECT_DOUBLE_EQ(ci.center, 3.0);
-  EXPECT_NEAR(ci.half_width, 2.776 * std::sqrt(2.5) / std::sqrt(5.0), 1e-3);
-  EXPECT_TRUE(ci.contains(3.0));
-  EXPECT_FALSE(ci.contains(100.0));
-}
-
-TEST(MeanCi, ThrowsBelowTwoSamples) {
-  EXPECT_THROW(mean_ci(std::vector<double>{}, 0.95), Error);
-  EXPECT_THROW(mean_ci(std::vector<double>{1.0}, 0.95), Error);
-}
-
-TEST(StddevCi, CoversTrueSigma) {
-  int covered = 0;
-  const int kReps = 100;
-  for (int rep = 0; rep < kReps; ++rep) {
-    Rng rng(500 + rep);
-    std::vector<double> v;
-    for (int i = 0; i < 200; ++i) v.push_back(rng.normal(0.0, 3.0));
-    if (stddev_ci(v, 0.95).contains(3.0)) ++covered;
-  }
-  EXPECT_GE(covered, 85);
 }
 
 }  // namespace

@@ -371,7 +371,6 @@ TEST_F(ServiceJobsTest, WatchdogKilledDseJobResumesFromJournaledCheckpoint) {
     ServiceConfig config;
     config.workers = 1;
     config.watchdog_timeout_seconds = 0.05;
-    config.watchdog_poll_seconds = 0.005;
     config.journal_path = journal;
     config.scratch_dir = dir_;
     CampaignService service(config);
@@ -458,7 +457,6 @@ TEST_F(ServiceJobsTest, KilledJobResubmittedAcrossRestartIsServedFromStore) {
     ServiceConfig config;
     config.workers = 1;
     config.watchdog_timeout_seconds = 0.05;
-    config.watchdog_poll_seconds = 0.005;
     config.scratch_dir = dir_;
     CampaignService service(config);
     DseJobOptions stalled = options;
